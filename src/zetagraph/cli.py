@@ -242,8 +242,9 @@ _COMMANDS = {
 
 def _thread_cap() -> int:
     """The ZETAGRAPH_THREADS contract: 0 means auto, n >= 1 caps worker
-    count.  Computation here is single-threaded, which satisfies any cap;
-    the variable is still validated so misconfigurations surface."""
+    count.  The value is validated so misconfigurations surface, but it is
+    not yet applied: numpy's BLAS may run multithreaded, with its thread
+    count set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS."""
     raw = os.environ.get("ZETAGRAPH_THREADS", "0")
     try:
         value = int(raw)

@@ -58,7 +58,7 @@ def closed_sequences(
                 out[len(seq)].append((seq, wgt))
             if len(seq) == L:
                 continue
-            for e2 in edges:
+            for e2 in g.out_edges[e[1]]:
                 if _step_ok(g, e, e2):
                     stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
     for n in out:
@@ -194,7 +194,7 @@ def prime_cycles(
                     )
             if len(seq) == L:
                 continue
-            for e2 in edges:
+            for e2 in g.out_edges[e[1]]:
                 if key[e2] >= si and _step_ok(g, e, e2):
                     stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
     records.sort(key=lambda r: (r.length, tuple(key[e] for e in r.edges)))

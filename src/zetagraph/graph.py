@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError, GraphValidationError
@@ -53,14 +54,16 @@ class WeightedGraph:
     def w(self, e: OrientedEdge) -> float:
         return self.weight[e]
 
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[OrientedEdge, ...]]:
+        """Each vertex's outgoing oriented edges in canonical order, built once."""
+        out: dict[str, list[OrientedEdge]] = {x: [] for x in self.vertices}
+        for e in sorted(self.oriented_edges()):
+            out.setdefault(e[0], []).append(e)
+        return {x: tuple(es) for x, es in out.items()}
+
     def neighbors(self, x: str) -> list[str]:
-        out = []
-        for u, v in self.edges:
-            if u == x:
-                out.append(v)
-            elif v == x:
-                out.append(u)
-        return out
+        return [v for _, v in self.out_edges.get(x, ())]
 
     def has_symmetric_backtrack(self) -> bool:
         """True when the flagged set is closed under edge reversal."""

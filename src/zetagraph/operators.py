@@ -1,8 +1,11 @@
 """Matrix operators on the vertex and oriented-edge spaces of a graph.
 
-Bases always follow :func:`zetagraph.graph.canonical_order`.  Matrices are
-dense numpy arrays up to 2000 basis elements and column-compressed sparse
-beyond that; the switch is internal, results do not depend on it.
+Bases always follow :func:`zetagraph.graph.canonical_order`.  Every matrix
+is compressed sparse row; :func:`edge_operators` builds the four edge-space
+maps for the plain graph and, block by block, for a local system, so the
+untwisted operators are its trivial one-dimensional case.  The vertex-space
+factorization series and the roundtrip product built from them live here
+too, shared by the determinant routes and the twisted L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -18,27 +21,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import WeightedGraph, canonical_order, reverse
-
-DENSE_LIMIT = 2000
+from .series import MatrixSeries, Series
 
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix with labeled domain (cols) and codomain (rows) bases."""
+    """Sparse matrix with labeled domain (cols) and codomain (rows) bases.
+
+    Over a local system of dimension d each label spans d coordinates."""
 
     rows: tuple
     cols: tuple
-    mat: object
+    mat: sp.csr_matrix
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.mat):
-            return np.asarray(self.mat.todense())
-        return np.asarray(self.mat)
+        return self.mat.toarray()
 
     def trace(self) -> complex:
-        if sp.issparse(self.mat):
-            return complex(self.mat.diagonal().sum())
-        return complex(np.trace(self.mat))
+        return complex(self.mat.diagonal().sum())
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if self.cols != other.rows:
@@ -46,63 +46,103 @@ class LinearOperator:
         return LinearOperator(self.rows, other.cols, self.mat @ other.mat)
 
 
-def _materialize(rows, cols, triplets):
-    """Build dense or sparse from (row_index, col_index, value) triples."""
-    shape = (len(rows), len(cols))
-    if max(shape) <= DENSE_LIMIT:
-        mat = np.zeros(shape, dtype=np.float64)
-        for i, j, v in triplets:
-            mat[i, j] += v
-        return LinearOperator(tuple(rows), tuple(cols), mat)
-    if triplets:
-        ii, jj, vv = zip(*triplets)
-    else:
-        ii, jj, vv = (), (), ()
-    mat = sp.csc_matrix((vv, (ii, jj)), shape=shape, dtype=np.float64)
+def _materialize(rows, cols, triplets, d: int = 1, dtype=np.float64) -> LinearOperator:
+    """CSR operator from (row_index, col_index, block) triples.
+
+    Blocks are scalars when d = 1 and d x d arrays otherwise; repeated
+    positions are summed."""
+    ii = np.array([t[0] for t in triplets], dtype=np.int64)
+    jj = np.array([t[1] for t in triplets], dtype=np.int64)
+    blocks = np.array([t[2] for t in triplets], dtype=dtype).reshape(len(triplets), d, d)
+    offsets = np.arange(d)
+    r = np.broadcast_to(ii[:, None, None] * d + offsets[None, :, None], blocks.shape)
+    c = np.broadcast_to(jj[:, None, None] * d + offsets[None, None, :], blocks.shape)
+    shape = (len(rows) * d, len(cols) * d)
+    mat = sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
     return LinearOperator(tuple(rows), tuple(cols), mat)
 
 
-def transfer_matrix(g: WeightedGraph) -> LinearOperator:
-    """Weighted non-backtracking (Hashimoto) operator on oriented edges.
-
-    Column e holds w(e') at row e' for every continuation e' with
-    o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries the
-    backtrack flag.
-    """
-    _, edges = canonical_order(g)
-    index = {e: i for i, e in enumerate(edges)}
-    triplets = []
-    for e in edges:
-        allow_reversal = e in g.backtrack
-        for e2 in edges:
-            if e2[0] != e[1]:
-                continue
-            if e2 == reverse(e) and not allow_reversal:
-                continue
-            triplets.append((index[e2], index[e], g.weight[e2]))
-    return _materialize(edges, edges, triplets)
-
-
-def incidence_maps(g: WeightedGraph) -> tuple[LinearOperator, LinearOperator, LinearOperator]:
-    """The three maps linking vertex and edge space.
+def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
+    """Spread, endpoint, flip and the transfer operator T, optionally twisted.
 
     spread: vertex -> weighted sum of its outgoing oriented edges.
-    endpoint: oriented edge -> its target vertex, coefficient 1.
-    flip: oriented edge -> its reversal, scaled by the reversal's weight;
-          zeroed wherever either orientation carries the backtrack flag.
+    endpoint: oriented edge -> its target vertex, through the edge's transport.
+    flip: oriented edge -> its reversal, scaled by the reversal's weight and
+          the edge's transport; zeroed wherever either orientation carries
+          the backtrack flag.
+    T: column e holds w(e') U_e at row e' for every continuation e' with
+       o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries
+       the backtrack flag.  This is the weighted non-backtracking (Hashimoto)
+       operator.
+
+    Without a system every transport is the scalar 1.  With one of dimension
+    d, each vertex and edge carries a fiber C^d, edge fibers trivialized at
+    the origin vertex, and U_e is the d x d block ``system.transport(e)``.
     """
+    if system is None:
+        d, dtype, one, transport = 1, np.float64, 1.0, lambda e: 1.0
+    else:
+        d, dtype, transport = system.dim, np.complex128, system.transport
+        one = np.eye(d, dtype=dtype)
     verts, edges = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     ei = {e: i for i, e in enumerate(edges)}
-    spread = _materialize(edges, verts, [(ei[e], vi[e[0]], g.weight[e]) for e in edges])
-    endpoint = _materialize(verts, edges, [(vi[e[1]], ei[e], 1.0) for e in edges])
-    flip_triplets = []
+    spread, endpoint, flip, T = [], [], [], []
     for e in edges:
-        if e in g.backtrack or reverse(e) in g.backtrack:
+        U = transport(e)
+        spread.append((ei[e], vi[e[0]], g.weight[e] * one))
+        endpoint.append((vi[e[1]], ei[e], U))
+        if e not in g.backtrack and reverse(e) not in g.backtrack:
+            flip.append((ei[reverse(e)], ei[e], g.weight[reverse(e)] * U))
+        for e2 in g.out_edges[e[1]]:
+            if e2 == reverse(e) and e not in g.backtrack:
+                continue
+            T.append((ei[e2], ei[e], g.weight[e2] * U))
+    return (
+        _materialize(edges, verts, spread, d, dtype),
+        _materialize(verts, edges, endpoint, d, dtype),
+        _materialize(edges, edges, flip, d, dtype),
+        _materialize(edges, edges, T, d, dtype),
+    )
+
+
+def transfer_matrix(g: WeightedGraph) -> LinearOperator:
+    """Weighted non-backtracking (Hashimoto) operator on oriented edges."""
+    return edge_operators(g)[3]
+
+
+def incidence_maps(g: WeightedGraph) -> tuple[LinearOperator, LinearOperator, LinearOperator]:
+    """The three maps linking vertex and edge space: spread, endpoint, flip."""
+    return edge_operators(g)[:3]
+
+
+def vertex_series(
+    spread: LinearOperator, endpoint: LinearOperator, flip: LinearOperator, M: int
+) -> MatrixSeries:
+    """The vertex-space series 1 + sum_{n=1..M} (-u)^n endpoint flip^{n-1} spread."""
+    coeffs = [np.eye(endpoint.mat.shape[0], dtype=np.complex128)]
+    P = spread.dense().astype(np.complex128)
+    for n in range(1, M + 1):
+        coeffs.append((-1) ** n * (endpoint.mat @ P))
+        P = flip.mat @ P
+    return MatrixSeries(coeffs)
+
+
+def roundtrip_product(g: WeightedGraph, order: int, skip=frozenset(), dim: int = 1) -> Series:
+    """Prod over unoriented edges (1 - u^2 W(e))^dim, skipping a given set."""
+    result = Series.one(order)
+    for u, v in g.edges:
+        if frozenset((u, v)) in skip:
             continue
-        flip_triplets.append((ei[reverse(e)], ei[e], g.weight[reverse(e)]))
-    flip = _materialize(edges, edges, flip_triplets)
-    return spread, endpoint, flip
+        W = g.weight[(u, v)] * g.weight[(v, u)]
+        c = np.zeros(order + 1, dtype=np.complex128)
+        c[0] = 1.0
+        if order >= 2:
+            c[2] = -W
+        factor = Series(c)
+        for _ in range(dim):
+            result = result * factor
+    return result
 
 
 def adjacency_matrix(g: WeightedGraph) -> LinearOperator:
@@ -212,7 +252,7 @@ def reduced_path_matrix_direct(g: WeightedGraph, m: int) -> LinearOperator:
     mat = np.zeros((len(verts), len(verts)))
     for start, end, wgt, _ in _enumerate_reduced_paths(g, m):
         mat[vi[end], vi[start]] += wgt
-    return LinearOperator(tuple(verts), tuple(verts), mat)
+    return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))
 
 
 def anchored_path_matrix(g: WeightedGraph, m: int, n: int) -> LinearOperator:
@@ -227,4 +267,4 @@ def anchored_path_matrix(g: WeightedGraph, m: int, n: int) -> LinearOperator:
     for start, end, wgt, first in _enumerate_reduced_paths(g, m):
         W = g.weight[first] * g.weight[reverse(first)]
         mat[vi[end], vi[start]] += W ** n * wgt
-    return LinearOperator(tuple(verts), tuple(verts), mat)
+    return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))

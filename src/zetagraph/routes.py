@@ -15,8 +15,16 @@ import numpy as np
 
 from .cycles import euler_product
 from .errors import ResourceCapError
-from .graph import WeightedGraph, canonical_order, reverse
-from .operators import adjacency_matrix, excess_matrix, incidence_maps, transfer_matrix, zigzag_matrix
+from .graph import WeightedGraph, canonical_order
+from .operators import (
+    adjacency_matrix,
+    excess_matrix,
+    incidence_maps,
+    roundtrip_product,
+    transfer_matrix,
+    vertex_series,
+    zigzag_matrix,
+)
 from .series import MatrixSeries, Series, coeffs_agree, fredholm_det, max_deviation
 
 
@@ -63,51 +71,18 @@ def _require_no_flags(g: WeightedGraph, route: str) -> None:
         raise ValueError(f"route {route} requires an empty backtrack set")
 
 
-def _unoriented_pairs(g: WeightedGraph):
-    return [(u, v) for u, v in g.edges]
-
-
-def _roundtrip_product(g: WeightedGraph, order: int, skip=frozenset()) -> Series:
-    """Prod over unoriented edges (1 - u^2 W(e)), skipping a given set."""
-    result = Series.one(order)
-    for u, v in g.edges:
-        if frozenset((u, v)) in skip:
-            continue
-        W = g.weight[(u, v)] * g.weight[(v, u)]
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        if order >= 2:
-            c[2] = -W
-        result = result * Series(c)
-    return result
-
-
 def zeta_fredholm(g: WeightedGraph, M: int) -> RouteResult:
     """Z^{-1} = det(1 - uT) via power traces.  Works for any backtrack set."""
     T = transfer_matrix(g)
     return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": len(T.rows)})
 
 
-def _factorization_matrix_series(g: WeightedGraph, M: int) -> MatrixSeries:
-    """The vertex-space series 1 + sum_n (-u)^n tau J^{n-1} sigma."""
-    sigma, tau, flip = incidence_maps(g)
-    nv = len(tau.rows)
-    coeffs = [np.eye(nv, dtype=np.complex128)]
-    P = sigma.dense().astype(np.complex128)
-    tau_d = tau.dense()
-    flip_d = flip.dense()
-    for n in range(1, M + 1):
-        coeffs.append((-1) ** n * (tau_d @ P))
-        P = flip_d @ P
-    return MatrixSeries(coeffs)
-
-
 def zeta_sunada(g: WeightedGraph, M: int) -> RouteResult:
     """Factorization route: det of the vertex-space series times the
     roundtrip product over unoriented edges.  Empty backtrack set only."""
     _require_no_flags(g, "sunada")
-    det = _factorization_matrix_series(g, M).det()
-    series = det * _roundtrip_product(g, M)
+    det = vertex_series(*incidence_maps(g), M).det()
+    series = det * roundtrip_product(g, M)
     return RouteResult("sunada", series.truncate(M), {"vertex_dimension": len(g.vertices)})
 
 
@@ -205,21 +180,12 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
     it is known to deviate from the Fredholm determinant and the result is
     flagged, not fixed."""
     alpha = backtrack_weight_constant(g, alpha_variant)
-    sigma, tau, flip = incidence_maps(g)
-    nv = len(tau.rows)
-    coeffs = [np.eye(nv, dtype=np.complex128)]
-    if M >= 1:
-        coeffs.append(-zigzag_matrix(g, 1).dense().astype(np.complex128))
-    if M >= 2:
-        coeffs.append(zigzag_matrix(g, 2).dense().astype(np.complex128))
-    t_d, j_d = tau.dense(), flip.dense()
-    P = j_d @ j_d @ sigma.dense().astype(np.complex128)
-    for m in range(3, M + 1):
-        coeffs.append((-1) ** m * (t_d @ P))
-        P = j_d @ P
+    coeffs = vertex_series(*incidence_maps(g), M).coeffs
+    # orders 1-2 are the zigzag walks, which filter only flagged departures
+    coeffs[1:3] = [-zigzag_matrix(g, 1).dense(), zigzag_matrix(g, 2).dense()][:M]
     det = MatrixSeries(coeffs).det()
     flagged = {frozenset(e) for e in g.backtrack}
-    series = det * _roundtrip_product(g, M, skip=flagged)
+    series = det * roundtrip_product(g, M, skip=flagged)
     if alpha != 0.0:
         expc = np.zeros(M + 1, dtype=np.complex128)
         if M >= 2:

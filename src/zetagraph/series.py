@@ -4,10 +4,13 @@ A Series holds complex coefficients c_0..c_M for a fixed truncation order M.
 Binary operations zero-extend the shorter operand, so mixing orders is safe
 but the high coefficients of the result are only as meaningful as the inputs.
 
-Determinants of matrix-valued series follow the trace-log convention:
-det(S) = exp(tr log S), expanded in the truncated ring.  For small dimensions
-an independent principal-minor expansion of det(I + N) is computed as well
-and any disagreement raises, so the two constructions police each other.
+Two determinants live here.  fredholm_det expands det(1 - u*T) from the
+power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
+single code path serves every matrix representation.  Determinants of
+matrix-valued series follow the trace-log convention: det(S) = exp(tr log S),
+expanded in the truncated ring.  For small dimensions an independent
+principal-minor expansion of det(I + N) is computed as well and any
+disagreement raises, so the two constructions police each other.
 """
 
 from __future__ import annotations
@@ -185,12 +188,6 @@ def csv_lines(s: Series) -> list[str]:
 # determinants
 
 
-def _trace(mat) -> complex:
-    if hasattr(mat, "diagonal") and not isinstance(mat, np.ndarray):
-        return complex(mat.diagonal().sum())  # sparse
-    return complex(np.trace(mat))
-
-
 def fredholm_det(mat, order: int) -> Series:
     """det(1 - u*mat) to the given order, from power traces.
 
@@ -201,10 +198,10 @@ def fredholm_det(mat, order: int) -> Series:
     if hasattr(mat, "mat"):
         mat = mat.mat
     p = np.zeros(order + 1, dtype=np.complex128)
-    power = None
+    power = np.eye(mat.shape[0])
     for j in range(1, order + 1):
-        power = mat if power is None else power @ mat
-        p[j] = _trace(power)
+        power = mat @ power
+        p[j] = np.trace(power)
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
     for k in range(1, order + 1):

@@ -17,8 +17,9 @@ from typing import Mapping
 import numpy as np
 
 from .cycles import euler_product, holonomy as cycle_holonomy
-from .graph import OrientedEdge, ValidationReport, WeightedGraph, canonical_order, reverse
-from .series import MatrixSeries, Series, fredholm_det
+from .graph import OrientedEdge, ValidationReport, WeightedGraph, canonical_order
+from .operators import edge_operators, roundtrip_product, vertex_series
+from .series import Series, fredholm_det
 
 UNITARITY_TOL = 1e-10
 
@@ -73,13 +74,14 @@ def validate_local_system(g: WeightedGraph, system: LocalSystem) -> ValidationRe
         if U.shape != (system.dim, system.dim):
             entries.append(("dimension", f"transfer {e[0]}->{e[1]} has shape {U.shape}"))
             continue
-        if np.max(np.abs(U @ U.conj().T - eye)) > UNITARITY_TOL:
+        # "not <=" so that a NaN deviation fails the check
+        if not np.max(np.abs(U @ U.conj().T - eye)) <= UNITARITY_TOL:
             entries.append(("unitarity", f"transfer {e[0]}->{e[1]} is not unitary"))
     for u, v in g.edges:
         if (u, v) in system.transfers and (v, u) in system.transfers:
             U, R = system.transfers[(u, v)], system.transfers[(v, u)]
             if U.shape == R.shape == (system.dim, system.dim):
-                if np.max(np.abs(R @ U - eye)) > UNITARITY_TOL:
+                if not np.max(np.abs(R @ U - eye)) <= UNITARITY_TOL:
                     entries.append(
                         ("compatibility", f"transfer {v}->{u} is not the inverse of {u}->{v}")
                     )
@@ -112,32 +114,7 @@ def twisted_operators(g: WeightedGraph, system: LocalSystem):
     system these reduce entrywise to the untwisted operators, backtrack
     flags included.
     """
-    d = system.dim
-    verts, edges = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    ei = {e: i for i, e in enumerate(edges)}
-    nv, ne = len(verts), len(edges)
-    eye = np.eye(d, dtype=np.complex128)
-
-    def vblk(M, i, j, blk):
-        M[i * d : (i + 1) * d, j * d : (j + 1) * d] += blk
-
-    sigma = np.zeros((ne * d, nv * d), dtype=np.complex128)
-    tau = np.zeros((nv * d, ne * d), dtype=np.complex128)
-    flip = np.zeros((ne * d, ne * d), dtype=np.complex128)
-    T = np.zeros((ne * d, ne * d), dtype=np.complex128)
-    for e in edges:
-        vblk(sigma, ei[e], vi[e[0]], g.weight[e] * eye)
-        vblk(tau, vi[e[1]], ei[e], system.transport(e))
-        if e not in g.backtrack and reverse(e) not in g.backtrack:
-            vblk(flip, ei[reverse(e)], ei[e], g.weight[reverse(e)] * system.transport(e))
-        for e2 in edges:
-            if e2[0] != e[1]:
-                continue
-            if e2 == reverse(e) and e not in g.backtrack:
-                continue
-            vblk(T, ei[e2], ei[e], g.weight[e2] * system.transport(e))
-    return sigma, tau, flip, T
+    return edge_operators(g, system)
 
 
 def lfunction(g: WeightedGraph, system: LocalSystem, M: int, route: str = "determinant") -> Series:
@@ -162,24 +139,9 @@ def lfunction(g: WeightedGraph, system: LocalSystem, M: int, route: str = "deter
         raise ValueError(f"unknown route {route!r}")
     if g.backtrack:
         raise ValueError("determinant route requires an empty backtrack set")
-    sigma, tau, flip = twisted_operators(g, system)[:3]
-    nvd = tau.shape[0]
-    coeffs = [np.eye(nvd, dtype=np.complex128)]
-    P = sigma
-    for n in range(1, M + 1):
-        coeffs.append((-1) ** n * (tau @ P))
-        P = flip @ P
-    series = MatrixSeries(coeffs).det()
-    for u, v in g.edges:
-        W = g.weight[(u, v)] * g.weight[(v, u)]
-        c = np.zeros(M + 1, dtype=np.complex128)
-        c[0] = 1.0
-        if M >= 2:
-            c[2] = -W
-        factor = Series(c)
-        for _ in range(system.dim):
-            series = series * factor
-    return series.truncate(M)
+    sigma, tau, flip, _ = twisted_operators(g, system)
+    det = vertex_series(sigma, tau, flip, M).det()
+    return (det * roundtrip_product(g, M, dim=system.dim)).truncate(M)
 
 
 def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
@@ -203,18 +165,24 @@ def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
     for item in block.get("transfers", []):
         if not isinstance(item, dict) or not {"u", "v", "matrix"} <= set(item):
             raise GraphFormatError("each transfer needs u, v, and matrix fields")
+        e = (str(item["u"]), str(item["v"]))
+        if e not in g.weight:
+            raise GraphFormatError(f"transfer {e[0]}->{e[1]} names a non-edge")
         try:
             rows = [
                 [complex(float(re), float(im)) for re, im in row] for row in item["matrix"]
             ]
         except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"malformed transfer matrix: {exc}") from None
-        mat = np.array(rows, dtype=np.complex128)
+        try:
+            mat = np.array(rows, dtype=np.complex128)
+        except ValueError:
+            raise GraphFormatError(f"transfer {e[0]}->{e[1]} has rows of unequal length") from None
         if mat.shape != (dim, dim):
             raise GraphFormatError(
-                f"transfer {item['u']}->{item['v']} has shape {mat.shape}, expected ({dim}, {dim})"
+                f"transfer {e[0]}->{e[1]} has shape {mat.shape}, expected ({dim}, {dim})"
             )
-        transfers[(str(item["u"]), str(item["v"]))] = mat
+        transfers[e] = mat
     return make_local_system(g, dim, transfers)
 
 

@@ -5,6 +5,7 @@ from conftest import random_graph
 from zetagraph import fixtures
 from zetagraph.cycles import closed_sequences
 from zetagraph.graph import canonical_order, make_graph
+from zetagraph.series import fredholm_det, max_deviation
 from zetagraph.operators import (
     adjacency_matrix,
     anchored_path_matrix,
@@ -221,9 +222,9 @@ def test_weighted_triangle_third_trace():
     assert np.trace(np.linalg.matrix_power(T, 3)) == pytest.approx(0.2115)
 
 
-def test_large_graph_goes_sparse():
-    # a cycle beyond the dense limit keeps the same trace semantics
-    n = 1100  # 2200 oriented edges > DENSE_LIMIT
+def test_large_graph_goes_sparse(rng):
+    # operators are sparse at every size; a long cycle keeps the trace semantics
+    n = 1100  # 2200 oriented edges
     verts = [f"v{i:04d}" for i in range(n)]
     edges = [(verts[i], verts[(i + 1) % n], 1.0, 1.0) for i in range(n)]
     g = make_graph(verts, edges)
@@ -232,3 +233,8 @@ def test_large_graph_goes_sparse():
     import scipy.sparse as sp
 
     assert sp.issparse(T.mat)
+    # the series does not depend on the matrix representation
+    for mode in ("none", "symmetric", "any"):
+        for _ in range(5):
+            T = transfer_matrix(random_graph(rng, backtrack=mode))
+            assert max_deviation(fredholm_det(T.mat, 12), fredholm_det(T.dense(), 12)) < 1e-13

@@ -44,10 +44,10 @@ def test_trivial_operators_match_untwisted_entrywise():
     for name, g in CAT.items():
         sigma, tau, flip, T = twisted_operators(g, trivial_system(g))
         s0, t0, j0 = incidence_maps(g)
-        assert np.allclose(sigma, s0.dense()), name
-        assert np.allclose(tau, t0.dense()), name
-        assert np.allclose(flip, j0.dense()), name
-        assert np.allclose(T, transfer_matrix(g).dense()), name
+        assert np.allclose(sigma.dense(), s0.dense()), name
+        assert np.allclose(tau.dense(), t0.dense()), name
+        assert np.allclose(flip.dense(), j0.dense()), name
+        assert np.allclose(T.dense(), transfer_matrix(g).dense()), name
 
 
 def test_sign_twist_on_triangle():
@@ -163,6 +163,11 @@ def test_validation_codes():
     report = validate_local_system(g, LocalSystem(1, bad))
     assert ("unitarity", "transfer x->y is not unitary") in report.entries
 
+    nan = dict(trivial_system(g).transfers)
+    nan[("x", "y")] = np.array([[np.nan]])
+    report = validate_local_system(g, LocalSystem(1, nan))
+    assert ("unitarity", "transfer x->y is not unitary") in report.entries
+
     skew = dict(trivial_system(g).transfers)
     skew[("x", "y")] = np.array([[1.0j]])
     report = validate_local_system(g, LocalSystem(1, skew))
@@ -202,6 +207,8 @@ def test_system_document_round_trip(rng):
         {"dim": 1, "transfers": [{"u": "x", "matrix": [[[1, 0]]]}]},
         {"dim": 1, "transfers": [{"u": "x", "v": "y", "matrix": [[[1, 0]], [[0, 1]]]}]},
         {"dim": 1, "transfers": [{"u": "x", "v": "y", "matrix": [["one"]]}]},
+        {"dim": 2, "transfers": [{"u": "x", "v": "y", "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}]},
+        {"dim": 1, "transfers": [{"u": "x", "v": "q", "matrix": [[[1, 0]]]}]},
     ],
 )
 def test_malformed_system_blocks(block):
