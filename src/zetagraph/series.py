@@ -4,13 +4,15 @@ A Series holds complex coefficients c_0..c_M for a fixed truncation order M.
 Binary operations zero-extend the shorter operand, so mixing orders is safe
 but the high coefficients of the result are only as meaningful as the inputs.
 
-Two determinants live here.  fredholm_det expands det(1 - u*T) from the
+Two determinants live here, and both turn power sums into coefficients by
+the same Newton recursion.  fredholm_det expands det(1 - u*T) from the
 power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
-single code path serves every matrix representation.  Determinants of
-matrix-valued series follow the trace-log convention: det(S) = exp(tr log S),
-expanded in the truncated ring.  For small dimensions an independent
-principal-minor expansion of det(I + N) is computed as well and any
-disagreement raises, so the two constructions police each other.
+single code path serves every matrix representation.  MatrixSeries.det
+takes the determinant of a matrix-valued series P = sum C_k u^k with C_0 = I
+by Jacobi's formula (log det P)' = tr(P^-1 P'), building P^-1 by its linear
+recursion.  Its result must match the independent principal-minor expansion
+at small dimension and det P(u0) at one point near 0 at every dimension;
+any disagreement raises instead of returning a wrong series.
 """
 
 from __future__ import annotations
@@ -202,6 +204,15 @@ def fredholm_det(mat, order: int) -> Series:
     for j in range(1, order + 1):
         power = mat @ power
         p[j] = np.trace(power)
+    return _newton(p)
+
+
+def _newton(p: np.ndarray) -> Series:
+    """Coefficients of exp(-sum_{j>=1} p_j u^j / j) from the power sums p_1..p_M.
+
+    c_k = -(1/k) * sum_{j=1..k} p_j c_{k-j}; entry p[0] is ignored.
+    """
+    order = len(p) - 1
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
     for k in range(1, order + 1):
@@ -256,34 +267,69 @@ class MatrixSeries:
             out.append(acc)
         return MatrixSeries(out)
 
-    def trace_series(self) -> Series:
-        return Series([np.trace(m) for m in self.coeffs])
-
     def det(self, minor_check_dim: int = 6) -> Series:
-        """exp(tr log) determinant, cross-checked by minors at small dimension."""
-        d = self.dim
+        """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula.
+
+        With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
+        where deg is the last nonzero coefficient, (log det P)' = tr(X P')
+        gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
+        of log det P = sum l_n u^n.  That is about M*deg matrix products,
+        and only the last deg terms of X are kept.  The result is checked
+        against det_minors when the dimension is at most minor_check_dim,
+        and against det P(u0) at every dimension; either mismatch raises
+        ArithmeticError.
+        """
+        d, m = self.dim, self.order
         ident = np.eye(d, dtype=np.complex128)
         if np.max(np.abs(self.coeffs[0] - ident)) > 1e-12:
             raise ValueError("constant coefficient must be the identity")
-        m = self.order
-        n_coeffs = [np.zeros((d, d), dtype=np.complex128)] + [c.copy() for c in self.coeffs[1:]]
-        nser = MatrixSeries(n_coeffs)
-        log_acc = None
-        power = nser
-        for j in range(1, m + 1):
-            term = power.trace_series() * ((-1) ** (j + 1) / j)
-            log_acc = term if log_acc is None else log_acc + term
-            if j < m:
-                power = power * nser
-        result = log_acc.exp() if log_acc is not None else Series.one(m)
+        C = self.coeffs
+        deg = max((k for k in range(1, m + 1) if C[k].any()), default=0)
+        if deg == 0:
+            return Series.one(m)
+        p = np.zeros(m + 1, dtype=np.complex128)  # p_n = -n l_n
+        X = [ident]  # X_k, X_{k-1}, ..., X_{k-deg+1}
+        for k in range(m):
+            for j in range(1, min(deg, m - k) + 1):
+                p[k + j] -= j * np.einsum("ij,ji->", C[j], X[0])
+            if k + 1 < m:
+                nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
+                X = [nxt] + X[: deg - 1]
+        result = _newton(p)
         if d <= minor_check_dim:
-            alt = self.det_minors()
-            if max_deviation(result, alt) > 1e-10:
+            dev = max_deviation(result, self.det_minors())
+            if dev > 1e-10:
                 raise ArithmeticError(
-                    "determinant cross-check failed: trace-log and principal-minor "
-                    f"expansions differ by {max_deviation(result, alt):.3g}"
+                    "determinant cross-check failed: Jacobi and principal-minor "
+                    f"expansions differ by {dev:.3g}"
                 )
+        self._check_point_value(result, deg)
         return result
+
+    def _check_point_value(self, result: Series, deg: int) -> None:
+        """Raise ArithmeticError unless result(u0) matches det P(u0).
+
+        rho = max_k max_i |row_i C_k|^(1/k) and r = 1/max(1, 2 d deg rho) make
+        each row of P(u) at most 1 + 1/(2d) long on |u| = r (r <= 1 keeps u0^k
+        finite when the coefficients are tiny), so by Hadamard's
+        inequality |det P| <= e there.  Cauchy's estimate then bounds the
+        n-th coefficient of det P by e/r^n, and at u0 = r/100 the terms past
+        the truncation order sum to less than 3 * 100^-(M+1).  The tolerance
+        is that tail plus 1e-10 for rounding, as det P(u0) is close to 1.
+        """
+        C = self.coeffs
+        rho = max(
+            np.linalg.norm(C[k], axis=1).max() ** (1.0 / k) for k in range(1, deg + 1)
+        )
+        u0 = 0.01 / max(1.0, 2.0 * self.dim * deg * rho)
+        exact = np.linalg.det(sum(C[k] * u0**k for k in range(deg + 1)))
+        dev = abs(result(u0) - exact)
+        tol = 3.0 * 100.0 ** -(self.order + 1) + 1e-10
+        if not dev <= tol:
+            raise ArithmeticError(
+                f"determinant point check failed at u0={u0:.3g}: series and "
+                f"det P(u0) differ by {dev:.3g} (tolerance {tol:.3g})"
+            )
 
     def det_minors(self) -> Series:
         """det(I + N) = sum over index subsets of det(N[S, S]), over the series ring."""

@@ -204,12 +204,39 @@ def test_route_result_requires_unit_constant():
 
 
 def test_high_order_determinant_refuses_instead_of_returning_noise():
-    # spectral radius above 1 makes the trace-log determinant cancel
-    # catastrophically at high order; the principal-minor cross-check
-    # refuses rather than hand back garbage coefficients
+    # k4 with every weight 1.5 has spectral radius above 1, and its order-24
+    # vertex determinant cancels catastrophically; the principal-minor
+    # cross-check refuses rather than hand back garbage coefficients
+    verts = sorted(CAT["k4"].vertices)
+    heavy = make_graph(verts, [(u, v, 1.5, 1.5) for u, v in CAT["k4"].edges])
     with pytest.raises(ArithmeticError):
-        zeta_sunada(CAT["k4"], 24)
-    zeta_sunada(CAT["k4"], 12)  # moderate orders stay well inside tolerance
+        zeta_sunada(heavy, 24)
+    zeta_sunada(heavy, 12)  # moderate orders stay well inside tolerance
+    # the unit-weight k4 series is exact at the same order
+    unit = CAT["k4"]
+    assert max_deviation(zeta_sunada(unit, 24).series, zeta_fredholm(unit, 24).series) <= 1e-12
+
+
+def test_low_order_determinants_pass_the_point_check():
+    # at orders this low det P(u0) differs from the truncated series by far
+    # more than rounding; the check's tail bound must not refuse them
+    for M in range(1, 6):
+        k4 = CAT["k4"]
+        assert max_deviation(zeta_classical(k4, M).series, zeta_fredholm(k4, M).series) < 1e-12
+        for g in CAT.values():
+            if not g.backtrack:
+                for route in (zeta_sunada, zeta_bass):
+                    assert max_deviation(route(g, M).series, zeta_fredholm(g, M).series) < 1e-12
+
+
+def test_bass_above_minor_dimension_matches_fredholm(rng):
+    # block dimension V + 2E > 6, so only the point check guards these
+    graphs = [random_graph(rng, max_vertices=60, extra_edges=15) for _ in range(12)]
+    big = [g for g in graphs if len(g.vertices) >= 40][:3]
+    assert big
+    for g in big:
+        dev = max_deviation(zeta_bass(g, 12).series, zeta_fredholm(g, 12).series)
+        assert dev <= 1e-12
 
 
 def test_spectrum_poles_frozen():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from zetagraph import fixtures
+from zetagraph import fixtures, series
 from zetagraph.operators import incidence_maps, transfer_matrix
 from zetagraph.series import (
     MatrixSeries,
@@ -173,6 +176,64 @@ def test_matrix_series_det_multiplicative():
 def test_matrix_series_det_requires_identity_head():
     with pytest.raises(ValueError):
         MatrixSeries([np.zeros((2, 2)), np.eye(2)]).det()
+
+
+@st.composite
+def pencils(draw, dims=st.integers(1, 5)):
+    """Series I + C_1 u + ... + C_deg u^deg padded with zeros to order M <= 6,
+    with deg 1, 2 or M and complex entries of modulus below 1."""
+    d = draw(dims)
+    m = draw(st.integers(1, 6))
+    deg = min(m, draw(st.sampled_from([1, 2, m])))
+    part = arrays(np.float64, (deg, d, d), elements=st.floats(-0.7, 0.7))
+    heads = draw(part) + 1j * draw(part)
+    coeffs = [np.eye(d)] + list(heads) + [np.zeros((d, d))] * (m - deg)
+    return MatrixSeries(coeffs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pencils())
+def test_jacobi_det_equals_minor_expansion(ms):
+    assert coeffs_agree(ms.det(), ms.det_minors(), tol=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_jacobi_det_is_multiplicative(data):
+    d = st.just(data.draw(st.integers(1, 4)))
+    a, b = data.draw(pencils(d)), data.draw(pencils(d))
+    m = min(a.order, b.order)
+    lhs = (a * b).det().truncate(m)
+    rhs = (a.det() * b.det()).truncate(m)
+    assert coeffs_agree(lhs, rhs, tol=1e-10)
+
+
+def _pencil(rng, dim, order):
+    T = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return MatrixSeries.identity_minus_u(T, order), T
+
+
+def test_point_check_refuses_corrupted_series_above_minor_dimension(rng, monkeypatch):
+    ms, T = _pencil(rng, 10, 8)
+    assert max_deviation(ms.det(), fredholm_det(T, 8)) < 1e-10
+    newton = series._newton
+    for k, delta in ((1, 1e-3), (2, 1.0)):
+        def corrupted(p, k=k, delta=delta):
+            p = p.copy()
+            p[k] += delta
+            return newton(p)
+        monkeypatch.setattr(series, "_newton", corrupted)
+        with pytest.raises(ArithmeticError, match="point check"):
+            ms.det()
+
+
+def test_point_check_tolerance_covers_truncation_tail(rng):
+    # at low order the dropped terms of det P(u0) are far above rounding;
+    # the tail bound in the tolerance must keep such correct series
+    for order in range(1, 5):
+        for dim in (1, 3, 8, 20):
+            ms, T = _pencil(rng, dim, order)
+            assert max_deviation(ms.det(), fredholm_det(T, order)) < 1e-10
 
 
 def test_det_of_flip_is_roundtrip_product():
