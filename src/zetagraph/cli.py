@@ -13,12 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cycles import (
-    DEFAULT_LENGTH_CAP,
-    edge_sequence_label,
-    euler_product,
-    prime_cycles,
-)
+from .cycles import edge_sequence_label, euler_product, prime_cycles
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
 from .families import convergence_study, make_source, study_csv_lines, truncate_source
 from .graph import (
@@ -127,7 +122,7 @@ def _cmd_coeffs(args) -> int:
     if args.route == "oracle":
         if args.variant is not None:
             raise ValueError("the oracle route takes no variant")
-        series = euler_product(g, args.order, cap=max(args.order, DEFAULT_LENGTH_CAP))
+        series = euler_product(g, args.order)
     elif args.route == "bass":
         series = zeta_bass(g, args.order, args.variant or "corrected").series
     elif args.route == "partial":
@@ -153,7 +148,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_primes(args) -> int:
     g, _ = _read_graph(args.file)
-    records = prime_cycles(g, args.max_len, cap=max(args.max_len, DEFAULT_LENGTH_CAP))
+    records = prime_cycles(g, args.max_len)
     lines = ["length,weight,primitive_length,is_prime,edge_sequence"]
     for rec in records:
         flag = "true" if rec.is_prime else "false"

@@ -3,13 +3,20 @@ are validated against.
 
 A closed edge sequence (e_1, ..., e_n) is admissible when consecutive edges
 compose and every step, the wrap-around seam included, obeys the
-non-backtracking rule: e' = e reversed is forbidden unless e carries the
-backtrack flag.  Admissibility lives on edge sequences; the vertex-path
-variant with an explicit tail condition is kept only as a diagnostic (see
-tail_mode_report).
+non-backtracking rule of _step_ok: e' = e reversed is forbidden unless e
+carries the backtrack flag.  Two depth-first generators walk the graph
+under that rule and nothing else does:
 
-Everything here is exponential in the length bound and intended for small
-graphs; the bound is capped to keep runtimes sane.
+- _closed_walks yields the admissible closed edge sequences, rooted at
+  every edge (closed_sequences) or only at the least edge of each rotation
+  class (prime_cycles, and through it euler_product);
+- reduced_walks yields the vertex walks whose steps obey the rule; it
+  feeds the vertex-path counting modes of compute_Nm, kept only as
+  diagnostics (see tail_mode_report), and the direct path-sum operators
+  in operators.py.
+
+Both are exponential in the length bound and intended for small graphs;
+they refuse bounds above LENGTH_CAP.
 """
 
 from __future__ import annotations
@@ -22,15 +29,13 @@ from .errors import ResourceCapError
 from .graph import OrientedEdge, WeightedGraph, canonical_order, reverse
 from .series import Series, fredholm_det
 
-DEFAULT_LENGTH_CAP = 14
-HARD_LENGTH_CAP = 20
+LENGTH_CAP = 20
 
 
-def _check_length(L: int, cap: int) -> None:
-    limit = min(cap, HARD_LENGTH_CAP)
-    if L > limit:
+def _check_length(L: int) -> None:
+    if L > LENGTH_CAP:
         raise ResourceCapError(
-            f"length bound {L} exceeds cap {limit}; enumeration is exponential"
+            f"length bound {L} exceeds cap {LENGTH_CAP}; enumeration is exponential"
         )
 
 
@@ -38,8 +43,51 @@ def _step_ok(g: WeightedGraph, e: OrientedEdge, e2: OrientedEdge) -> bool:
     return e2[0] == e[1] and (e2 != reverse(e) or e in g.backtrack)
 
 
+def _closed_walks(g: WeightedGraph, L: int, pruned: bool):
+    """Yield (sequence, weight) for every admissible closed edge sequence of
+    length 1..L, depth first from each root edge in canonical order.
+
+    pruned keeps only continuations whose canonical index is at least the
+    root's: every rotation class still appears, rooted at its least edge.
+    """
+    _check_length(L)
+    _, edges = canonical_order(g)
+    key = {e: i for i, e in enumerate(edges)}
+    for si, start in enumerate(edges):
+        floor = si if pruned else 0
+        stack = [(start, (start,), g.weight[start])]
+        while stack:
+            e, seq, wgt = stack.pop()
+            if _step_ok(g, e, start):
+                yield seq, wgt
+            if len(seq) >= L:
+                continue
+            for e2 in g.out_edges[e[1]]:
+                if key[e2] >= floor and _step_ok(g, e, e2):
+                    stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
+
+
+def reduced_walks(g: WeightedGraph, L: int):
+    """Yield (walk, weight) for every vertex walk (x_0, ..., x_n), n <= L,
+    whose steps obey the rule: x_n = x_{n-2} only when (x_{n-2}, x_{n-1})
+    carries the backtrack flag.  Walks start from each vertex in turn and the
+    weight is the product of the step weights."""
+    _check_length(L)
+    for start in g.vertices:
+        stack = [((start,), 1.0)]
+        while stack:
+            walk, wgt = stack.pop()
+            yield walk, wgt
+            if len(walk) > L:
+                continue
+            x = walk[-1]
+            for y in g.neighbors(x):
+                if len(walk) == 1 or _step_ok(g, (walk[-2], x), (x, y)):
+                    stack.append((walk + (y,), wgt * g.weight[(x, y)]))
+
+
 def closed_sequences(
-    g: WeightedGraph, L: int, cap: int = DEFAULT_LENGTH_CAP
+    g: WeightedGraph, L: int
 ) -> dict[int, list[tuple[tuple[OrientedEdge, ...], float]]]:
     """All rooted admissible closed edge sequences of length 1..L.
 
@@ -47,28 +95,15 @@ def closed_sequences(
     The total weight at length n equals tr T^n; rotations of one cycle
     appear as distinct rooted sequences.
     """
-    _check_length(L, cap)
-    _, edges = canonical_order(g)
     out: dict[int, list] = {n: [] for n in range(1, L + 1)}
-    for start in edges:
-        stack = [(start, (start,), g.weight[start])]
-        while stack:
-            e, seq, wgt = stack.pop()
-            if _step_ok(g, e, start):
-                out[len(seq)].append((seq, wgt))
-            if len(seq) == L:
-                continue
-            for e2 in g.out_edges[e[1]]:
-                if _step_ok(g, e, e2):
-                    stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
+    for seq, wgt in _closed_walks(g, L, pruned=False):
+        out[len(seq)].append((seq, wgt))
     for n in out:
         out[n].sort(key=lambda item: item[0])
     return out
 
 
-def compute_Nm(
-    g: WeightedGraph, L: int, mode: str = "strict", cap: int = DEFAULT_LENGTH_CAP
-) -> list[float]:
+def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
     """Cycle-weight totals N_1..N_L.
 
     strict (normative): total weight of rooted admissible closed edge
@@ -80,36 +115,15 @@ def compute_Nm(
     strict).  Both are diagnostics for flagged graphs.
     """
     if mode == "strict":
-        seqs = closed_sequences(g, L, cap=cap)
+        seqs = closed_sequences(g, L)
         return [float(sum(w for _, w in seqs[n])) for n in range(1, L + 1)]
     if mode not in ("printed", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_length(L, cap)
     totals = [0.0] * L
-    for n in range(2, L + 1):
-        for path, wgt in _closed_vertex_paths(g, n):
-            if _tail_admitted(g, path, mode):
-                totals[n - 1] += wgt
+    for walk, wgt in reduced_walks(g, L):
+        if len(walk) > 2 and walk[-1] == walk[0] and _tail_admitted(g, walk, mode):
+            totals[len(walk) - 2] += wgt
     return totals
-
-
-def _closed_vertex_paths(g: WeightedGraph, n: int):
-    """Rooted closed vertex paths (x_0,...,x_n=x_0) whose interior steps
-    reverse only across flagged orientations, with weights."""
-    for start in g.vertices:
-        stack = [((start,), 1.0)]
-        while stack:
-            path, wgt = stack.pop()
-            depth = len(path) - 1
-            if depth == n:
-                if path[-1] == start:
-                    yield path, wgt
-                continue
-            x = path[-1]
-            for y in g.neighbors(x):
-                if depth >= 1 and y == path[-2] and (path[-2], x) not in g.backtrack:
-                    continue
-                stack.append((path + (y,), wgt * g.weight[(x, y)]))
 
 
 def _tail_admitted(g: WeightedGraph, path: tuple, mode: str) -> bool:
@@ -119,15 +133,13 @@ def _tail_admitted(g: WeightedGraph, path: tuple, mode: str) -> bool:
     return (path[1], path[0]) in g.backtrack
 
 
-def tail_mode_report(
-    g: WeightedGraph, L: int, cap: int = DEFAULT_LENGTH_CAP
-) -> dict[str, list[float]]:
+def tail_mode_report(g: WeightedGraph, L: int) -> dict[str, list[float]]:
     """Side-by-side N_m under all three counting modes, so the flagged-graph
     discrepancies are visible rather than silently resolved."""
     return {
-        "strict": compute_Nm(g, L, "strict", cap=cap),
-        "printed": compute_Nm(g, L, "printed", cap=cap),
-        "corrected": compute_Nm(g, L, "corrected", cap=cap),
+        "strict": compute_Nm(g, L, "strict"),
+        "printed": compute_Nm(g, L, "printed"),
+        "corrected": compute_Nm(g, L, "corrected"),
     }
 
 
@@ -160,43 +172,32 @@ def _primitive_period(seq: tuple) -> int:
     return n
 
 
-def prime_cycles(
-    g: WeightedGraph, L: int, cap: int = DEFAULT_LENGTH_CAP, system=None
-) -> list[CycleRecord]:
+def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
-    _check_length(L, cap)
     _, edges = canonical_order(g)
     key = {e: i for i, e in enumerate(edges)}
     seen: set = set()
     records = []
-    # prune to sequences whose root has the minimal edge index; every class
-    # has such a rotation, duplicates collapse via the canonical rotation
-    for si, start in enumerate(edges):
-        stack = [(start, (start,), g.weight[start])]
-        while stack:
-            e, seq, wgt = stack.pop()
-            if _step_ok(g, e, start):
-                canon = _canonical_rotation(seq, key)
-                if canon not in seen:
-                    seen.add(canon)
-                    period = _primitive_period(canon)
-                    records.append(
-                        CycleRecord(
-                            edges=canon,
-                            length=len(canon),
-                            weight=float(wgt),
-                            primitive_length=period,
-                            is_prime=period == len(canon),
-                            holonomy=holonomy(system, canon) if system else None,
-                        )
-                    )
-            if len(seq) == L:
-                continue
-            for e2 in g.out_edges[e[1]]:
-                if key[e2] >= si and _step_ok(g, e, e2):
-                    stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
+    # every class is met rooted at its least edge; duplicates collapse via
+    # the canonical rotation
+    for seq, wgt in _closed_walks(g, L, pruned=True):
+        canon = _canonical_rotation(seq, key)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        period = _primitive_period(canon)
+        records.append(
+            CycleRecord(
+                edges=canon,
+                length=len(canon),
+                weight=float(wgt),
+                primitive_length=period,
+                is_prime=period == len(canon),
+                holonomy=holonomy(system, canon) if system else None,
+            )
+        )
     records.sort(key=lambda r: (r.length, tuple(key[e] for e in r.edges)))
     return records
 
@@ -213,32 +214,23 @@ def edge_sequence_label(edges: tuple) -> str:
     return "|".join(f"{u}>{v}" for u, v in edges)
 
 
-def euler_product(
-    g: WeightedGraph, M: int, system=None, cap: int = DEFAULT_LENGTH_CAP
-) -> Series:
+def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     """Reciprocal zeta (or L-) series as a finite product over prime classes.
 
     Multiplies det(1 - w(p) u^{l(p)} H_p) over primes of length <= M; the
     truncation at order M is exact since longer primes start at u^{M+1}.
-    Without a local system H_p = 1 and each factor is 1 - w u^l.
+    Each factor expands the characteristic polynomial sum_k a_k t^k of H_p,
+    det(1 - t H_p), at t = w(p) u^{l(p)}; without a local system H_p = 1 and
+    the polynomial is 1 - t.
     """
-    _check_length(M, cap)
     result = Series.one(M)
-    for rec in prime_cycles(g, M, cap=cap, system=system):
+    for rec in prime_cycles(g, M, system=system):
         if not rec.is_prime:
             continue
-        if system is None:
-            coeffs = np.zeros(M + 1, dtype=np.complex128)
-            coeffs[0] = 1.0
-            if rec.length <= M:
-                coeffs[rec.length] = -rec.weight
-            factor = Series(coeffs)
-        else:
-            charpoly = fredholm_det(rec.holonomy, system.dim)
-            coeffs = np.zeros(M + 1, dtype=np.complex128)
-            for k in range(system.dim + 1):
-                if k * rec.length <= M:
-                    coeffs[k * rec.length] = charpoly.coefficient(k) * rec.weight ** k
-            factor = Series(coeffs)
-        result = result * factor
+        charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
+        coeffs = np.zeros(M + 1, dtype=np.complex128)
+        for k, a in enumerate(charpoly):
+            if k * rec.length <= M:
+                coeffs[k * rec.length] = a * rec.weight ** k
+        result = result * Series(coeffs)
     return result

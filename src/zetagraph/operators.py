@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .cycles import reduced_walks
 from .graph import WeightedGraph, canonical_order, reverse
 from .series import MatrixSeries, Series
 
@@ -229,29 +230,14 @@ def reduced_path_matrix(g: WeightedGraph, m: int) -> LinearOperator:
     return reduced_path_matrices(g, m)[m]
 
 
-def _enumerate_reduced_paths(g: WeightedGraph, m: int):
-    """Yield (start, end, weight, first_step) over reduced length-m paths."""
-    for start in g.vertices:
-        stack = [(start, None, 1.0, 0, None)]
-        while stack:
-            x, prev, wgt, depth, first = stack.pop()
-            if depth == m:
-                yield start, x, wgt, first
-                continue
-            for y in g.neighbors(x):
-                if prev is not None and y == prev and (prev, x) not in g.backtrack:
-                    continue
-                step = g.weight[(x, y)]
-                stack.append((y, x, wgt * step, depth + 1, first if first else (x, y)))
-
-
 def reduced_path_matrix_direct(g: WeightedGraph, m: int) -> LinearOperator:
     """Enumeration twin of reduced_path_matrix; exponential, test use only."""
     verts, _ = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     mat = np.zeros((len(verts), len(verts)))
-    for start, end, wgt, _ in _enumerate_reduced_paths(g, m):
-        mat[vi[end], vi[start]] += wgt
+    for walk, wgt in reduced_walks(g, m):
+        if len(walk) == m + 1:
+            mat[vi[walk[-1]], vi[walk[0]]] += wgt
     return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))
 
 
@@ -264,7 +250,8 @@ def anchored_path_matrix(g: WeightedGraph, m: int, n: int) -> LinearOperator:
     verts, _ = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     mat = np.zeros((len(verts), len(verts)))
-    for start, end, wgt, first in _enumerate_reduced_paths(g, m):
-        W = g.weight[first] * g.weight[reverse(first)]
-        mat[vi[end], vi[start]] += W ** n * wgt
+    for walk, wgt in reduced_walks(g, m):
+        if len(walk) == m + 1:
+            W = g.weight[(walk[0], walk[1])] * g.weight[(walk[1], walk[0])]
+            mat[vi[walk[-1]], vi[walk[0]]] += W ** n * wgt
     return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# MatrixSeries.det cross-checks against the principal-minor expansion, whose
+# cost grows as 2^d, up to this dimension.
+MINOR_CHECK_DIM = 6
+
 
 class Series:
     """Immutable truncated power series with complex coefficients."""
@@ -267,7 +271,7 @@ class MatrixSeries:
             out.append(acc)
         return MatrixSeries(out)
 
-    def det(self, minor_check_dim: int = 6) -> Series:
+    def det(self) -> Series:
         """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula.
 
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
@@ -275,7 +279,7 @@ class MatrixSeries:
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
         of log det P = sum l_n u^n.  That is about M*deg matrix products,
         and only the last deg terms of X are kept.  The result is checked
-        against det_minors when the dimension is at most minor_check_dim,
+        against det_minors when the dimension is at most MINOR_CHECK_DIM,
         and against det P(u0) at every dimension; either mismatch raises
         ArithmeticError.
         """
@@ -296,7 +300,7 @@ class MatrixSeries:
                 nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
                 X = [nxt] + X[: deg - 1]
         result = _newton(p)
-        if d <= minor_check_dim:
+        if d <= MINOR_CHECK_DIM:
             dev = max_deviation(result, self.det_minors())
             if dev > 1e-10:
                 raise ArithmeticError(

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cycles import euler_product, holonomy as cycle_holonomy
+from .cycles import euler_product
 from .graph import OrientedEdge, ValidationReport, WeightedGraph, canonical_order
 from .operators import edge_operators, roundtrip_product, vertex_series
 from .series import Series, fredholm_det
@@ -86,11 +86,6 @@ def validate_local_system(g: WeightedGraph, system: LocalSystem) -> ValidationRe
                         ("compatibility", f"transfer {v}->{u} is not the inverse of {u}->{v}")
                     )
     return ValidationReport(tuple(entries))
-
-
-def holonomy_of(record, system: LocalSystem) -> np.ndarray:
-    """Transport product around a cycle record's canonical representative."""
-    return cycle_holonomy(system, record.edges)
 
 
 def gauge_transform(

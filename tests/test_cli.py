@@ -228,8 +228,17 @@ def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):
 
 
 def test_exit_4_oracle_length_cap(gfile, capsys):
-    code, _, err = run(capsys, ["coeffs", gfile("k3"), "--route", "oracle", "--order", "25"])
+    path = gfile("k3")
+    code, _, err = run(capsys, ["coeffs", path, "--route", "oracle", "--order", "25"])
     assert code == 4 and err.startswith("resource cap:")
+    code, _, err = run(capsys, ["primes", path, "--max-len", "21"])
+    assert code == 4 and err.startswith("resource cap:")
+    # one cap of 20 for every command that enumerates cycles
+    for argv in (["check", path, "--order", "16"],
+                 ["coeffs", path, "--route", "oracle", "--order", "16"],
+                 ["primes", path, "--max-len", "16"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out, (argv, err)
 
 
 def test_thread_cap_env(gfile, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from zetagraph.cycles import (
 )
 from zetagraph.errors import ResourceCapError
 from zetagraph.graph import canonical_order
-from zetagraph.operators import transfer_matrix
+from zetagraph.operators import reduced_path_matrix_direct, transfer_matrix
 from zetagraph.series import fredholm_det, max_deviation
 
 CAT = fixtures.catalogue()
@@ -144,15 +144,28 @@ def test_no_short_cycles_without_flags(rng):
 
 
 def test_length_caps():
+    k3 = CAT["k3"]
+    for enumerate_ in (closed_sequences, compute_Nm, prime_cycles, euler_product,
+                       tail_mode_report, reduced_path_matrix_direct):
+        with pytest.raises(ResourceCapError):
+            enumerate_(k3, 21)
     with pytest.raises(ResourceCapError):
-        closed_sequences(CAT["k3"], 15)
-    with pytest.raises(ResourceCapError):
-        compute_Nm(CAT["k3"], 15)
-    with pytest.raises(ResourceCapError):
-        prime_cycles(CAT["k3"], 15)
-    with pytest.raises(ResourceCapError):
-        euler_product(CAT["k3"], 15)
-    # an explicit cap loosens the default up to the hard bound of 20
-    assert closed_sequences(CAT["k3"], 16, cap=16)[3]
-    with pytest.raises(ResourceCapError):
-        closed_sequences(CAT["k3"], 21, cap=25)
+        compute_Nm(k3, 21, mode="printed")
+    # one cap of 20 everywhere: lengths 15..20 are accepted
+    seqs = closed_sequences(k3, 15)
+    assert [len(seqs[n]) for n in (3, 14, 15)] == [6, 0, 6]
+    # bounds below 1 enumerate nothing instead of running without end
+    assert closed_sequences(k3, 0) == {} and prime_cycles(k3, 0) == []
+
+
+def test_pruned_enumeration_meets_every_class(rng):
+    """prime_cycles roots each class at its least edge; the canonical
+    rotations of all rooted sequences must give exactly its classes."""
+    graphs = list(CAT.values())
+    graphs += [random_graph(rng, max_vertices=5, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(4)]
+    for g in graphs:
+        seqs = closed_sequences(g, 8)
+        rotations = {min(seq[i:] + seq[:i] for i in range(len(seq)))
+                     for n in seqs for seq, _ in seqs[n]}
+        assert rotations == {r.edges for r in prime_cycles(g, 8)}
