@@ -7,16 +7,21 @@ non-backtracking rule of _step_ok: e' = e reversed is forbidden unless e
 carries the backtrack flag.  Two depth-first generators walk the graph
 under that rule and nothing else does:
 
-- _closed_walks yields the admissible closed edge sequences, rooted at
-  every edge (closed_sequences) or only at the least edge of each rotation
-  class (prime_cycles, and through it euler_product);
-- reduced_walks yields the vertex walks whose steps obey the rule; it
-  feeds the vertex-path counting modes of compute_Nm, kept only as
-  diagnostics (see tail_mode_report), and the direct path-sum operators
-  in operators.py.
+- _closed_walks yields the admissible closed edge sequences rooted at
+  each edge, through every edge (closed_sequences) or only through edges
+  no smaller than the root (prime_cycles, and through it euler_product);
+- reduced_walks yields the vertex walks whose steps obey the rule; one
+  traversal fills both vertex-path counting modes of compute_Nm, kept only
+  as diagnostics (see tail_mode_report), and it feeds the direct path-sum
+  operators in operators.py.
 
-Both are exponential in the length bound and intended for small graphs;
-they refuse bounds above LENGTH_CAP.
+Oriented edges compare as (origin, target) tuples, the canonical order of
+graph.canonical_order.  prime_cycles keeps each rotation class once, as the
+pruned walk that is its own least rotation (a Lyndon word or a power of
+one; see _least_period).
+
+Both generators are exponential in the length bound and intended for small
+graphs; they refuse bounds above LENGTH_CAP.
 """
 
 from __future__ import annotations
@@ -47,14 +52,11 @@ def _closed_walks(g: WeightedGraph, L: int, pruned: bool):
     """Yield (sequence, weight) for every admissible closed edge sequence of
     length 1..L, depth first from each root edge in canonical order.
 
-    pruned keeps only continuations whose canonical index is at least the
-    root's: every rotation class still appears, rooted at its least edge.
+    pruned keeps only continuations no smaller than the root edge: every
+    rotation class still appears, rooted at its least edge.
     """
     _check_length(L)
-    _, edges = canonical_order(g)
-    key = {e: i for i, e in enumerate(edges)}
-    for si, start in enumerate(edges):
-        floor = si if pruned else 0
+    for start in canonical_order(g)[1]:
         stack = [(start, (start,), g.weight[start])]
         while stack:
             e, seq, wgt = stack.pop()
@@ -63,7 +65,7 @@ def _closed_walks(g: WeightedGraph, L: int, pruned: bool):
             if len(seq) >= L:
                 continue
             for e2 in g.out_edges[e[1]]:
-                if key[e2] >= floor and _step_ok(g, e, e2):
+                if (e2 >= start or not pruned) and _step_ok(g, e, e2):
                     stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
 
 
@@ -119,36 +121,36 @@ def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
         return [float(sum(w for _, w in seqs[n])) for n in range(1, L + 1)]
     if mode not in ("printed", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
-    totals = [0.0] * L
+    return _vertex_path_totals(g, L)[mode]
+
+
+def _vertex_path_totals(g: WeightedGraph, L: int) -> dict[str, list[float]]:
+    """Both literal modes from one reduced_walks traversal.  A closed path
+    crosses the seam unless x_{n-1} equals the mode's trigger (x_0 as
+    printed, x_1 corrected) and (x_1, x_0) is unflagged."""
+    totals = {"printed": [0.0] * L, "corrected": [0.0] * L}
     for walk, wgt in reduced_walks(g, L):
-        if len(walk) > 2 and walk[-1] == walk[0] and _tail_admitted(g, walk, mode):
-            totals[len(walk) - 2] += wgt
+        if len(walk) > 2 and walk[-1] == walk[0]:
+            flagged = (walk[1], walk[0]) in g.backtrack
+            for mode, trigger in (("printed", walk[0]), ("corrected", walk[1])):
+                if walk[-2] != trigger or flagged:
+                    totals[mode][len(walk) - 2] += wgt
     return totals
-
-
-def _tail_admitted(g: WeightedGraph, path: tuple, mode: str) -> bool:
-    trigger = path[0] if mode == "printed" else path[1]
-    if path[-2] != trigger:
-        return True
-    return (path[1], path[0]) in g.backtrack
 
 
 def tail_mode_report(g: WeightedGraph, L: int) -> dict[str, list[float]]:
     """Side-by-side N_m under all three counting modes, so the flagged-graph
     discrepancies are visible rather than silently resolved."""
-    return {
-        "strict": compute_Nm(g, L, "strict"),
-        "printed": compute_Nm(g, L, "printed"),
-        "corrected": compute_Nm(g, L, "corrected"),
-    }
+    return {"strict": compute_Nm(g, L, "strict"), **_vertex_path_totals(g, L)}
 
 
 @dataclass(frozen=True)
 class CycleRecord:
     """One rotation-equivalence class of admissible closed sequences.
 
-    edges holds the lexicographically minimal rotation; primitive_length is
-    the smallest period, and the class is prime when it equals the length.
+    edges holds the least rotation in canonical order and weight the product
+    of its edge weights in that order; primitive_length is the smallest
+    period, and the class is prime when it equals the length.
     """
 
     edges: tuple[OrientedEdge, ...]
@@ -159,46 +161,36 @@ class CycleRecord:
     holonomy: np.ndarray | None = None
 
 
-def _canonical_rotation(seq: tuple, key) -> tuple:
-    rots = [seq[i:] + seq[:i] for i in range(len(seq))]
-    return min(rots, key=lambda r: tuple(key[e] for e in r))
-
-
-def _primitive_period(seq: tuple) -> int:
-    n = len(seq)
-    for r in range(1, n + 1):
-        if n % r == 0 and seq[r:] + seq[:r] == seq:
+def _least_period(seq: tuple) -> int:
+    """The smallest period of seq if no rotation of it is smaller, else 0."""
+    for r in range(1, len(seq) + 1):
+        rot = seq[r:] + seq[:r]
+        if rot < seq:
+            return 0
+        if rot == seq:
             return r
-    return n
 
 
 def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
-    _, edges = canonical_order(g)
-    key = {e: i for i, e in enumerate(edges)}
-    seen: set = set()
     records = []
-    # every class is met rooted at its least edge; duplicates collapse via
-    # the canonical rotation
     for seq, wgt in _closed_walks(g, L, pruned=True):
-        canon = _canonical_rotation(seq, key)
-        if canon in seen:
+        period = _least_period(seq)
+        if not period:
             continue
-        seen.add(canon)
-        period = _primitive_period(canon)
         records.append(
             CycleRecord(
-                edges=canon,
-                length=len(canon),
+                edges=seq,
+                length=len(seq),
                 weight=float(wgt),
                 primitive_length=period,
-                is_prime=period == len(canon),
-                holonomy=holonomy(system, canon) if system else None,
+                is_prime=period == len(seq),
+                holonomy=holonomy(system, seq) if system else None,
             )
         )
-    records.sort(key=lambda r: (r.length, tuple(key[e] for e in r.edges)))
+    records.sort(key=lambda r: (r.length, r.edges))
     return records
 
 

@@ -101,8 +101,8 @@ def make_source(name: str, r: float) -> GraphSource:
 
 def truncate_source(source: GraphSource, epsilon: float) -> tuple[WeightedGraph, float]:
     """Smallest truncation whose left-out weight is at most epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     K = 0
     while source.tail_weight(K) > epsilon:
         K += 1
@@ -122,6 +122,8 @@ def convergence_study(
     k = 0..K_max-1 and n = 0..M.  Deltas shrink geometrically for the
     built-in families since block k only adds cycles of weight ~ r^{3k}.
     """
+    if K_max < 0:
+        raise ValueError(f"K_max must be >= 0, got {K_max}")
     if K_max > BLOCK_CAP:
         raise ResourceCapError(f"K_max {K_max} exceeds cap {BLOCK_CAP}")
     series = [zeta_fredholm(source.block(k), M).series for k in range(K_max + 1)]

@@ -253,8 +253,11 @@ def cross_validate(
     Applicability: fredholm always; sunada and bass need no flags;
     classical additionally needs unit weights; the partial formula runs for
     symmetric flag sets, and for asymmetric ones only on request (it is
-    then marked experimental, since it provably deviates there).
+    then marked experimental, since it provably deviates there).  tol must
+    be a finite number >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     series: dict[str, Series] = {}
     series["oracle"] = euler_product(g, M)
     series["fredholm"] = zeta_fredholm(g, M).series

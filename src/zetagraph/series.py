@@ -49,10 +49,6 @@ class Series:
     def one(order: int) -> "Series":
         return Series([1.0], order=order)
 
-    @staticmethod
-    def zero(order: int) -> "Series":
-        return Series([0.0], order=order)
-
     @property
     def order(self) -> int:
         return len(self.c) - 1

@@ -172,6 +172,13 @@ def test_family_argument_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["family", "--name", "triangle-chain", "--r", "0.5",
                                 "--epsilon", "1e-30", "--out", str(tmp_path / "x.json")])
     assert code == 4 and err.startswith("resource cap:")
+    target = tmp_path / "nan.json"
+    code, _, err = run(capsys, ["family", "--name", "triangle-chain", "--r", "0.5",
+                                "--epsilon", "nan", "--out", str(target)])
+    assert code == 1 and "epsilon must be positive" in err and not target.exists()
+    code, out, err = run(capsys, ["family", "--name", "triangle-chain", "--r", "0.5",
+                                  "--study", "-1"])
+    assert code == 1 and "K_max must be >= 0" in err and not out
 
 
 def test_stats_frozen(gfile, capsys):
@@ -225,6 +232,13 @@ def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):
     assert "invalid graph [nonpositive-weight]" in err
     code, _, err = run(capsys, ["coeffs", gfile("k3"), "--order", "99"])
     assert code == 1 and "order must be in [1, 64]" in err
+    # a tolerance that is not a finite number >= 0 is a usage error, not a
+    # route disagreement (nan, -1) or a vacuous pass (inf)
+    for tol in ("nan", "-1", "inf"):
+        code, _, err = run(capsys, ["check", gfile("k3"), "--tol", tol])
+        assert code == 1 and "tol must be a finite number >= 0" in err, tol
+    code, _, _ = run(capsys, ["check", gfile("k3"), "--tol", "0"])
+    assert code == 0
 
 
 def test_exit_4_oracle_length_cap(gfile, capsys):

@@ -120,20 +120,23 @@ def test_euler_product_matches_fredholm(rng):
 
 
 def test_records_are_canonical_and_consistent(rng):
-    g = random_graph(rng, max_vertices=5, backtrack="symmetric")
-    _, edges = canonical_order(g)
-    key = {e: i for i, e in enumerate(edges)}
-    recs = prime_cycles(g, 7)
-    for rec in recs:
-        rots = [rec.edges[i:] + rec.edges[:i] for i in range(rec.length)]
-        assert rec.edges == min(rots, key=lambda r: tuple(key[e] for e in r))
-        assert rec.weight == pytest.approx(math.prod(g.weight[e] for e in rec.edges))
-        period = len({tuple(r) for r in rots})
-        assert rec.primitive_length == period
-        assert rec.is_prime == (period == rec.length)
-        assert rec.length <= 7
-    # determinism: a second enumeration yields the identical list
-    assert recs == prime_cycles(g, 7)
+    for mode in ("none", "symmetric", "any"):
+        for _ in range(4):
+            g = random_graph(rng, max_vertices=5, backtrack=mode)
+            _, edges = canonical_order(g)
+            key = {e: i for i, e in enumerate(edges)}
+            recs = prime_cycles(g, 10)
+            for rec in recs:
+                rots = [rec.edges[i:] + rec.edges[:i] for i in range(rec.length)]
+                assert rec.edges == min(rots, key=lambda r: tuple(key[e] for e in r))
+                # the weight is the in-order product along the record's own edges
+                assert rec.weight == math.prod(g.weight[e] for e in rec.edges)
+                period = len({tuple(r) for r in rots})
+                assert rec.primitive_length == period
+                assert rec.is_prime == (period == rec.length)
+                assert rec.length <= 10
+            # determinism: a second enumeration yields the identical list
+            assert recs == prime_cycles(g, 10)
 
 
 def test_no_short_cycles_without_flags(rng):
@@ -160,7 +163,8 @@ def test_length_caps():
 
 def test_pruned_enumeration_meets_every_class(rng):
     """prime_cycles roots each class at its least edge; the canonical
-    rotations of all rooted sequences must give exactly its classes."""
+    rotations of all rooted sequences must give exactly its classes, each
+    listed once."""
     graphs = list(CAT.values())
     graphs += [random_graph(rng, max_vertices=5, backtrack=mode)
                for mode in ("none", "symmetric", "any") for _ in range(4)]
@@ -168,4 +172,8 @@ def test_pruned_enumeration_meets_every_class(rng):
         seqs = closed_sequences(g, 8)
         rotations = {min(seq[i:] + seq[:i] for i in range(len(seq)))
                      for n in seqs for seq, _ in seqs[n]}
-        assert rotations == {r.edges for r in prime_cycles(g, 8)}
+        recs = prime_cycles(g, 8)
+        assert rotations == {r.edges for r in recs}
+        # each class exactly once, sorted by (length, edges)
+        assert len(recs) == len(rotations)
+        assert [(r.length, r.edges) for r in recs] == sorted((r.length, r.edges) for r in recs)

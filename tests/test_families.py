@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,8 @@ def test_truncate_to_epsilon():
     assert tail0 == pytest.approx(8.0)
     with pytest.raises(ValueError):
         truncate_source(src, 0.0)
+    with pytest.raises(ValueError):
+        truncate_source(src, math.nan)
     with pytest.raises(ResourceCapError):
         truncate_source(src, 1e-30)
 
