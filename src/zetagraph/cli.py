@@ -182,6 +182,8 @@ def _cmd_family(args) -> int:
     _check_order(args.order)
     if args.study is None and args.out is None:
         raise ValueError("family needs --out FILE, --study KMAX, or both")
+    # the study runs first so that invalid study arguments leave no --out file
+    rows = None if args.study is None else convergence_study(source, args.study, args.order)
     if args.out is not None:
         if args.blocks is not None:
             graph = source.block(args.blocks)
@@ -196,8 +198,7 @@ def _cmd_family(args) -> int:
         if K is not None:
             note += f", blocks 0..{K}"
         print(note, file=sys.stderr)
-    if args.study is not None:
-        rows = convergence_study(source, args.study, args.order)
+    if rows is not None:
         _emit(study_csv_lines(rows))
     return 0
 

@@ -10,18 +10,17 @@ power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
 single code path serves every matrix representation.  MatrixSeries.det
 takes the determinant of a matrix-valued series P = sum C_k u^k with C_0 = I
 by Jacobi's formula (log det P)' = tr(P^-1 P'), building P^-1 by its linear
-recursion.  Its result must match the independent principal-minor expansion
-at small dimension and det P(u0) at one point near 0 at every dimension;
-any disagreement raises instead of returning a wrong series.
+recursion.  Its result is checked against det P itself: where LU
+factorisations at d*deg + 1 points cost no more than the recursion, the exact
+coefficients interpolated from those values must match at every order;
+above that only det P(u0) at one point near 0 is compared, which sees the
+lowest orders alone.  Any disagreement raises instead of returning a wrong
+series.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# MatrixSeries.det cross-checks against the principal-minor expansion, whose
-# cost grows as 2^d, up to this dimension.
-MINOR_CHECK_DIM = 6
 
 
 class Series:
@@ -195,16 +194,18 @@ def fredholm_det(mat, order: int) -> Series:
 
     Uses the recursion c_k = -(1/k) * sum_{j=1..k} p_j c_{k-j} with
     p_j = tr(mat^j), which is the coefficient form of
-    log det(1 - u*mat) = -sum_j u^j tr(mat^j) / j.
+    log det(1 - u*mat) = -sum_j u^j tr(mat^j) / j.  The determinant is a
+    polynomial of degree at most dim mat, so the traces stop there and the
+    coefficients above it are exact zeros.
     """
     if hasattr(mat, "mat"):
         mat = mat.mat
-    p = np.zeros(order + 1, dtype=np.complex128)
+    p = np.zeros(min(order, mat.shape[0]) + 1, dtype=np.complex128)
     power = np.eye(mat.shape[0])
-    for j in range(1, order + 1):
+    for j in range(1, len(p)):
         power = mat @ power
         p[j] = np.trace(power)
-    return _newton(p)
+    return _newton(p).truncate(order)
 
 
 def _newton(p: np.ndarray) -> Series:
@@ -274,10 +275,11 @@ class MatrixSeries:
         where deg is the last nonzero coefficient, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
         of log det P = sum l_n u^n.  That is about M*deg matrix products,
-        and only the last deg terms of X are kept.  The result is checked
-        against det_minors when the dimension is at most MINOR_CHECK_DIM,
-        and against det P(u0) at every dimension; either mismatch raises
-        ArithmeticError.
+        and only the last deg terms of X are kept.  When the N = max(d deg, M)
+        + 1 LU factorisations of _check_interpolation cost no more than three
+        times those products, every coefficient is checked against det P
+        interpolated exactly; otherwise _check_point_value compares det P(u0),
+        which sees only the lowest orders.  A mismatch raises ArithmeticError.
         """
         d, m = self.dim, self.order
         ident = np.eye(d, dtype=np.complex128)
@@ -296,15 +298,48 @@ class MatrixSeries:
                 nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
                 X = [nxt] + X[: deg - 1]
         result = _newton(p)
-        if d <= MINOR_CHECK_DIM:
-            dev = max_deviation(result, self.det_minors())
-            if dev > 1e-10:
-                raise ArithmeticError(
-                    "determinant cross-check failed: Jacobi and principal-minor "
-                    f"expansions differ by {dev:.3g}"
-                )
-        self._check_point_value(result, deg)
+        if max(d * deg, m) + 1 <= 3 * sum(min(k + 1, deg) for k in range(m - 1)):
+            self._check_interpolation(result, deg)
+        else:
+            self._check_point_value(result, deg)
         return result
+
+    def _check_interpolation(self, result: Series, deg: int) -> None:
+        """Raise ArithmeticError unless result matches det P coefficient by coefficient.
+
+        det P is a polynomial of degree at most d*deg, so its values at the
+        N = max(d deg, M) + 1 points u_j = r exp(2 pi i j / N) determine it:
+        the FFT of those values is N c_n r^n, with no aliasing and no tail.
+        Rounding in the values, about eps sqrt(N) max_j |det P(u_j)|, is
+        amplified by r^-n in c_n, and a coefficient may differ by that
+        resolution plus an absolute 1e-10.  r minimises Hadamard's bound
+        prod_i sum_k |row_i C_k| r^k on max |det P| times r^-M over a grid.
+        """
+        C = np.stack(self.coeffs[: deg + 1])
+        m = self.order
+        n_pts = max(self.dim * deg, m) + 1
+        radii = np.geomspace(0.1, 1.5, 64)
+        rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
+        hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)
+        r = radii[np.argmin(hadamard - m * np.log(radii))]
+        u = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
+        powers = np.power.outer(u, np.arange(deg + 1))
+        # deg + 1 points at a time, so the values take no more memory than C
+        values = np.concatenate([
+            np.linalg.det(np.tensordot(powers[i : i + deg + 1], C, 1))
+            for i in range(0, n_pts, deg + 1)
+        ])
+        scale = r ** -np.arange(m + 1)
+        exact = np.fft.fft(values)[: m + 1] / n_pts * scale
+        resolution = np.finfo(float).eps * np.sqrt(n_pts) * np.abs(values).max() * scale
+        excess = np.abs(exact - result.c) - 1e-10 - resolution
+        if not np.all(excess <= 0):
+            n = int(np.argmax(excess))
+            raise ArithmeticError(
+                f"determinant interpolation check failed at u^{n}: series and "
+                f"det P differ by {abs(exact[n] - result.c[n]):.3g} "
+                f"(tolerance {1e-10 + resolution[n]:.3g}, r={r:.3g})"
+            )
 
     def _check_point_value(self, result: Series, deg: int) -> None:
         """Raise ArithmeticError unless result(u0) matches det P(u0).
@@ -330,36 +365,3 @@ class MatrixSeries:
                 f"determinant point check failed at u0={u0:.3g}: series and "
                 f"det P(u0) differ by {dev:.3g} (tolerance {tol:.3g})"
             )
-
-    def det_minors(self) -> Series:
-        """det(I + N) = sum over index subsets of det(N[S, S]), over the series ring."""
-        d = self.dim
-        m = self.order
-        ident = np.eye(d, dtype=np.complex128)
-        if np.max(np.abs(self.coeffs[0] - ident)) > 1e-12:
-            raise ValueError("constant coefficient must be the identity")
-        entries = [
-            [Series([c[i, j] for c in ([np.zeros((d, d))] + self.coeffs[1:])], order=m)
-             for j in range(d)]
-            for i in range(d)
-        ]
-        total = Series.one(m)
-        for mask in range(1, 1 << d):
-            idx = [i for i in range(d) if mask >> i & 1]
-            sub = [[entries[i][j] for j in idx] for i in idx]
-            total = total + _cofactor_det(sub)
-        return total
-
-
-def _cofactor_det(rows: list[list[Series]]) -> Series:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(k):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _cofactor_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc

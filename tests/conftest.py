@@ -54,6 +54,13 @@ def random_graph(rng, max_vertices=7, extra_edges=None, backtrack="none"):
     return g
 
 
+def complete_graph(n, weight):
+    """K_n with the same weight on every oriented edge."""
+    names = [f"v{i}" for i in range(n)]
+    return make_graph(names, [(u, v, weight, weight) for i, u in enumerate(names)
+                              for v in names[i + 1 :]])
+
+
 def random_unitary(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)

@@ -179,6 +179,11 @@ def test_family_argument_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["family", "--name", "triangle-chain", "--r", "0.5",
                                   "--study", "-1"])
     assert code == 1 and "K_max must be >= 0" in err and not out
+    # a rejected study leaves no --out file behind
+    target = tmp_path / "both.json"
+    code, out, err = run(capsys, ["family", "--name", "triangle-chain", "--r", "0.5",
+                                  "--epsilon", "1.0", "--out", str(target), "--study", "-1"])
+    assert code == 1 and "K_max must be >= 0" in err and not out and not target.exists()
 
 
 def test_stats_frozen(gfile, capsys):

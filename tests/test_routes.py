@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import complete_graph, random_graph
 from zetagraph import fixtures
 from zetagraph.errors import ResourceCapError
 from zetagraph.graph import make_graph
@@ -204,17 +204,28 @@ def test_route_result_requires_unit_constant():
 
 
 def test_high_order_determinant_refuses_instead_of_returning_noise():
-    # k4 with every weight 1.5 has spectral radius above 1, and its order-24
-    # vertex determinant cancels catastrophically; the principal-minor
-    # cross-check refuses rather than hand back garbage coefficients
-    verts = sorted(CAT["k4"].vertices)
-    heavy = make_graph(verts, [(u, v, 1.5, 1.5) for u, v in CAT["k4"].edges])
-    with pytest.raises(ArithmeticError):
-        zeta_sunada(heavy, 24)
-    zeta_sunada(heavy, 12)  # moderate orders stay well inside tolerance
+    # with every weight 1.5 the spectral radius is above 1 and the order-24
+    # determinants cancel catastrophically (k4's exact coefficients vanish
+    # above u^12); the interpolation check refuses rather than hand back
+    # noise, on the vertex series and on the bass block alike
+    k4, k7 = complete_graph(4, 1.5), complete_graph(7, 1.5)
+    for g, route in ((k4, zeta_sunada), (k4, zeta_bass), (k7, zeta_sunada), (k7, zeta_bass)):
+        with pytest.raises(ArithmeticError, match="interpolation check"):
+            route(g, 24)
+    zeta_sunada(k4, 12)  # moderate orders stay well inside tolerance
     # the unit-weight k4 series is exact at the same order
     unit = CAT["k4"]
     assert max_deviation(zeta_sunada(unit, 24).series, zeta_fredholm(unit, 24).series) <= 1e-12
+
+
+def test_no_fixture_is_refused_up_to_order_40():
+    for M in range(1, 41):
+        for g in CAT.values():
+            for route in ROUTE_BUILDERS.values():
+                try:
+                    route(g, M)
+                except ValueError:  # the route does not apply to this fixture
+                    pass
 
 
 def test_low_order_determinants_pass_the_point_check():
@@ -230,7 +241,9 @@ def test_low_order_determinants_pass_the_point_check():
 
 
 def test_bass_above_minor_dimension_matches_fredholm(rng):
-    # block dimension V + 2E > 6, so only the point check guards these
+    # at block dimension V + 2E >= 100 the N LU factorisations of the
+    # interpolation check cost more than the determinant, so only the point
+    # check guards these
     graphs = [random_graph(rng, max_vertices=60, extra_edges=15) for _ in range(12)]
     big = [g for g in graphs if len(g.vertices) >= 40][:3]
     assert big

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import complete_graph
 from zetagraph import fixtures, series
 from zetagraph.operators import incidence_maps, transfer_matrix
 from zetagraph.series import (
@@ -47,6 +50,31 @@ def poly_charpoly_reference(T, order):
     take = min(order + 1, len(full))
     out[:take] = full[:take]
     return out
+
+
+def minor_expansion(ms):
+    """det(I + N) = 1 + sum over nonempty index sets S of det N[S, S] for
+    N = P - I, each minor by cofactor expansion over coefficient arrays
+    truncated to the order of P; independent of MatrixSeries.det."""
+    m, d = ms.order, ms.dim
+    N = np.array(ms.coeffs)
+    N[0] -= np.eye(d)
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return N[:, rows[0], cols[0]]
+        total = np.zeros(m + 1, dtype=complex)
+        for k, j in enumerate(cols):
+            minor = det(rows[1:], cols[:k] + cols[k + 1 :])
+            total += (-1) ** k * np.convolve(N[:, rows[0], j], minor)[: m + 1]
+        return total
+
+    total = np.zeros(m + 1, dtype=complex)
+    total[0] = 1.0
+    for mask in range(1, 1 << d):
+        idx = tuple(i for i in range(d) if mask >> i & 1)
+        total += det(idx, idx)
+    return Series(total)
 
 
 def test_series_ring_identities():
@@ -135,6 +163,26 @@ def test_fredholm_det_matches_cofactor_charpoly():
             assert np.max(np.abs(got - want) / scale) < 1e-9, dim
 
 
+def test_fredholm_det_is_exact_past_the_degree():
+    # det(1 - uT) has degree dim T = 12 on k4; with every weight 1.5 the
+    # traces past it only added rounding (c_24 was -1.27e-6).  Reference:
+    # integer traces of the 0/1 Hashimoto matrix times (3/2)^j, and the
+    # Newton recursion in Fractions
+    order = 24
+    B = transfer_matrix(complete_graph(4, 1)).dense().astype(int).astype(object)
+    power, p = np.eye(len(B), dtype=int).astype(object), [Fraction(0)]
+    for j in range(1, order + 1):
+        power = B.dot(power)
+        p.append(Fraction(3, 2) ** j * int(np.trace(power)))
+    want = [Fraction(1)]
+    for k in range(1, order + 1):
+        want.append(-sum(p[j] * want[k - j] for j in range(1, k + 1)) / k)
+    got = fredholm_det(transfer_matrix(complete_graph(4, 1.5)).mat, order).coefficients()
+    assert all(w == 0 for w in want[13:])
+    assert np.all(got[13:] == 0)
+    assert np.allclose(got[:13], [float(w) for w in want[:13]], rtol=1e-13, atol=0)
+
+
 def test_fredholm_det_on_fixture_transfer_operators():
     cat = fixtures.catalogue()
     assert np.allclose(
@@ -194,7 +242,7 @@ def pencils(draw, dims=st.integers(1, 5)):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(pencils())
 def test_jacobi_det_equals_minor_expansion(ms):
-    assert coeffs_agree(ms.det(), ms.det_minors(), tol=1e-10)
+    assert coeffs_agree(ms.det(), minor_expansion(ms), tol=1e-10)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -214,16 +262,24 @@ def _pencil(rng, dim, order):
 
 
 def test_point_check_refuses_corrupted_series_above_minor_dimension(rng, monkeypatch):
-    ms, T = _pencil(rng, 10, 8)
-    assert max_deviation(ms.det(), fredholm_det(T, 8)) < 1e-10
+    # at d = 10 the interpolation check runs; it sees every order, down to a
+    # 1e-6 shift of the top power sum.  At d = 24 its LU factorisations would
+    # cost more than the determinant, and the point check sees orders 1-2
     newton = series._newton
-    for k, delta in ((1, 1e-3), (2, 1.0)):
+    cases = [(10, 1, 1e-3), (10, 2, 1.0), (10, 8, 1e-6), (24, 1, 1e-3), (24, 2, 1.0)]
+    for dim, k, delta in cases:
+        monkeypatch.setattr(series, "_newton", newton)
+        ms, T = _pencil(rng, dim, 8)
+        assert coeffs_agree(ms.det(), fredholm_det(T, 8), tol=1e-12)
+
         def corrupted(p, k=k, delta=delta):
             p = p.copy()
             p[k] += delta
             return newton(p)
+
         monkeypatch.setattr(series, "_newton", corrupted)
-        with pytest.raises(ArithmeticError, match="point check"):
+        check = "interpolation check" if dim == 10 else "point check"
+        with pytest.raises(ArithmeticError, match=check):
             ms.det()
 
 
