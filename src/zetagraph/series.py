@@ -9,13 +9,8 @@ the same Newton recursion.  fredholm_det expands det(1 - u*T) from the
 power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
 single code path serves every matrix representation.  MatrixSeries.det
 takes the determinant of a matrix-valued series P = sum C_k u^k with C_0 = I
-by Jacobi's formula (log det P)' = tr(P^-1 P'), building P^-1 by its linear
-recursion.  Its result is checked against det P itself: where LU
-factorisations at d*deg + 1 points cost no more than the recursion, the exact
-coefficients interpolated from those values must match at every order;
-above that only det P(u0) at one point near 0 is compared, which sees the
-lowest orders alone.  Any disagreement raises instead of returning a wrong
-series.
+by Jacobi's formula (log det P)' = tr(P^-1 P') and checks the result against
+det P itself, raising instead of returning a series it cannot certify.
 """
 
 from __future__ import annotations
@@ -274,12 +269,13 @@ class MatrixSeries:
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
         where deg is the last nonzero coefficient, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
-        of log det P = sum l_n u^n.  That is about M*deg matrix products,
-        and only the last deg terms of X are kept.  When the N = max(d deg, M)
-        + 1 LU factorisations of _check_interpolation cost no more than three
-        times those products, every coefficient is checked against det P
-        interpolated exactly; otherwise _check_point_value compares det P(u0),
-        which sees only the lowest orders.  A mismatch raises ArithmeticError.
+        of log det P = sum l_n u^n: about M*deg matrix products, keeping
+        the last deg terms of X.  _check_interpolation checks every order
+        where its measured cost is at most 2.5 times the recursion's: each
+        of its N = max(d deg, M) + 1 LUs costs about one product, building
+        each P(u_j) (deg + 1)/d of one, and below d = 16 a product costs as
+        much as at d = 16 (call overhead).  Elsewhere _check_point_value
+        sees only the lowest orders.  A mismatch raises ArithmeticError.
         """
         d, m = self.dim, self.order
         ident = np.eye(d, dtype=np.complex128)
@@ -298,26 +294,29 @@ class MatrixSeries:
                 nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
                 X = [nxt] + X[: deg - 1]
         result = _newton(p)
-        if max(d * deg, m) + 1 <= 3 * sum(min(k + 1, deg) for k in range(m - 1)):
-            self._check_interpolation(result, deg)
+        n_pts = max(d * deg, m) + 1
+        products = sum(min(k + 1, deg) for k in range(m - 1))
+        if n_pts * d * d * (d + deg + 1) <= 2.5 * products * (d**3 + 16**3):
+            self._check_interpolation(result, deg, n_pts)
         else:
             self._check_point_value(result, deg)
         return result
 
-    def _check_interpolation(self, result: Series, deg: int) -> None:
+    def _check_interpolation(self, result: Series, deg: int, n_pts: int) -> None:
         """Raise ArithmeticError unless result matches det P coefficient by coefficient.
 
-        det P is a polynomial of degree at most d*deg, so its values at the
-        N = max(d deg, M) + 1 points u_j = r exp(2 pi i j / N) determine it:
-        the FFT of those values is N c_n r^n, with no aliasing and no tail.
-        Rounding in the values, about eps sqrt(N) max_j |det P(u_j)|, is
-        amplified by r^-n in c_n, and a coefficient may differ by that
-        resolution plus an absolute 1e-10.  r minimises Hadamard's bound
-        prod_i sum_k |row_i C_k| r^k on max |det P| times r^-M over a grid.
+        det P has degree at most d*deg, so its values at the N = n_pts > d*deg
+        points u_j = r exp(2 pi i j / N) determine it: their FFT is N c_n r^n,
+        with no aliasing.  r minimises Hadamard's bound prod_i sum_k
+        |row_i C_k| r^k on max |det P| times r^-M over a grid.  The tolerance
+        is 1e-10 plus eps sqrt(N) max_j |det P(u_j)| r^-n, the FFT's
+        resolution of values exact to working precision; where det P cancels
+        the LU error exceeds it and a right series can be refused.  It stays
+        absolute because callers multiply the determinant by series that
+        cancel further.
         """
         C = np.stack(self.coeffs[: deg + 1])
         m = self.order
-        n_pts = max(self.dim * deg, m) + 1
         radii = np.geomspace(0.1, 1.5, 64)
         rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
         hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)
@@ -325,10 +324,8 @@ class MatrixSeries:
         u = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
         powers = np.power.outer(u, np.arange(deg + 1))
         # deg + 1 points at a time, so the values take no more memory than C
-        values = np.concatenate([
-            np.linalg.det(np.tensordot(powers[i : i + deg + 1], C, 1))
-            for i in range(0, n_pts, deg + 1)
-        ])
+        values = np.concatenate([np.linalg.det(np.tensordot(powers[i : i + deg + 1], C, 1))
+                                 for i in range(0, n_pts, deg + 1)])
         scale = r ** -np.arange(m + 1)
         exact = np.fft.fft(values)[: m + 1] / n_pts * scale
         resolution = np.finfo(float).eps * np.sqrt(n_pts) * np.abs(values).max() * scale
@@ -353,9 +350,8 @@ class MatrixSeries:
         is that tail plus 1e-10 for rounding, as det P(u0) is close to 1.
         """
         C = self.coeffs
-        rho = max(
-            np.linalg.norm(C[k], axis=1).max() ** (1.0 / k) for k in range(1, deg + 1)
-        )
+        rho = max(np.linalg.norm(C[k], axis=1).max() ** (1.0 / k)
+                  for k in range(1, deg + 1))
         u0 = 0.01 / max(1.0, 2.0 * self.dim * deg * rho)
         exact = np.linalg.det(sum(C[k] * u0**k for k in range(deg + 1)))
         dev = abs(result(u0) - exact)

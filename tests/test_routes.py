@@ -241,9 +241,8 @@ def test_low_order_determinants_pass_the_point_check():
 
 
 def test_bass_above_minor_dimension_matches_fredholm(rng):
-    # at block dimension V + 2E >= 100 the N LU factorisations of the
-    # interpolation check cost more than the determinant, so only the point
-    # check guards these
+    # at block dimension V + 2E >= 100 the interpolation check would cost
+    # several times the determinant, so only the point check guards these
     graphs = [random_graph(rng, max_vertices=60, extra_edges=15) for _ in range(12)]
     big = [g for g in graphs if len(g.vertices) >= 40][:3]
     assert big
