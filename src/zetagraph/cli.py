@@ -101,10 +101,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_graph(path: str) -> tuple[WeightedGraph, dict]:
+def _read_graph(path: str) -> tuple[WeightedGraph, str]:
     text = Path(path).read_text()
-    g = parse_graph(text)
-    return g, _load_document(text)
+    return parse_graph(text), text
 
 
 def _check_order(M: int) -> None:
@@ -167,9 +166,9 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    g, document = _read_graph(args.file)
+    g, text = _read_graph(args.file)
     _check_order(args.order)
-    system = load_local_system(document, g)
+    system = load_local_system(_load_document(text), g)
     if system is None:
         raise ValueError("graph file has no local_system block")
     series = lfunction(g, system, args.order, route=args.route)

@@ -170,8 +170,9 @@ class GraphStats:
 
 def graph_stats(g: WeightedGraph) -> GraphStats:
     """Summary numbers: Euler number |V|-|E|, total weight over both
-    orientations, valency bound, per-edge orientation-weight products, and the
-    girth (0 when the graph is acyclic)."""
+    orientations, valency bound, per-edge orientation-weight products, and
+    ``girth_lower_bound``, which is the exact girth (0 when acyclic, backtrack
+    flags ignored), found at worst in O(|V|·(|V| + |E|)) by :func:`_girth`."""
     total = 0.0
     W: dict[frozenset, float] = {}
     for u, v in g.edges:
@@ -193,29 +194,39 @@ def graph_stats(g: WeightedGraph) -> GraphStats:
 
 
 def _girth(g: WeightedGraph) -> int:
-    # shortest cycle through each edge: remove the edge, BFS between its ends
-    best = 0
+    """Exact girth, 0 when acyclic; backtrack flags are ignored.
+
+    One breadth-first search per root (Itai and Rodeh, 1978): a non-tree edge
+    x-y closes a walk of length dist[x] + dist[y] + 1 through the root, which
+    contains a cycle no longer, and a root on a shortest cycle meets it
+    exactly.  Edges first met at depth d close walks of length 2d + 1 or
+    more, so a search stops once that reaches the best found.  At worst
+    O(|V|·(|V| + |E|)), on trees and graphs of long girth.
+    """
     adj: dict[str, list[str]] = {x: [] for x in g.vertices}
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    for u, v in g.edges:
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
+    best = 0
+    for root in g.vertices:
+        dist = {root: 0}
+        parent = {root: None}
+        frontier = [root]
+        depth = 0
+        while frontier and (best == 0 or 2 * depth + 1 < best):
             nxt = []
             for x in frontier:
                 for y in adj[x]:
-                    if (x, y) == (u, v) or (x, y) == (v, u):
-                        continue
                     if y not in dist:
-                        dist[y] = dist[x] + 1
+                        dist[y] = depth + 1
+                        parent[y] = x
                         nxt.append(y)
+                    elif y != parent[x]:
+                        cycle_len = depth + dist[y] + 1
+                        if best == 0 or cycle_len < best:
+                            best = cycle_len
             frontier = nxt
-        if v in dist:
-            cycle_len = dist[v] + 1
-            if best == 0 or cycle_len < best:
-                best = cycle_len
+            depth += 1
     return best
 
 

@@ -1,8 +1,12 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
+from conftest import random_graph
 from zetagraph import fixtures
+from zetagraph.cycles import prime_cycles
 from zetagraph.errors import GraphFormatError, GraphValidationError
 from zetagraph.graph import (
     canonical_order,
@@ -13,6 +17,8 @@ from zetagraph.graph import (
     serialize_graph,
     validate,
 )
+from zetagraph.operators import transfer_matrix
+from zetagraph.series import fredholm_det
 
 
 def test_reverse_is_involutive():
@@ -90,6 +96,119 @@ def test_stats_tree_and_k4():
     assert st.euler_number == -2
     assert st.valency_bound == 3
     assert st.girth_lower_bound == 3
+
+
+def _reference_girth(g):
+    """Per-edge reference: remove each edge, BFS between its ends, and keep
+    the shortest detour plus one; 0 when no edge lies on a cycle."""
+    best = 0
+    adj = {x: [] for x in g.vertices}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for u, v in g.edges:
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if (x, y) == (u, v) or (x, y) == (v, u):
+                        continue
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if v in dist:
+            cycle_len = dist[v] + 1
+            if best == 0 or cycle_len < best:
+                best = cycle_len
+    return best
+
+
+def _shuffled_random_graph(rng):
+    """Spanning tree plus 0..all chords on 1-16 vertices, with vertex order,
+    edge order and edge orientation shuffled."""
+    n = rng.randint(1, 16)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = {tuple(sorted((names[rng.randrange(i)], names[i]))) for i in range(1, n)}
+    chords = [(a, b) for i, a in enumerate(sorted(names)) for b in sorted(names)[i + 1:]
+              if (a, b) not in pairs]
+    pairs |= set(rng.sample(chords, min(len(chords), rng.choice([0, 0, 1, 2, 3, n, len(chords)]))))
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(pairs)]
+    rng.shuffle(edges)
+    vertices = names[:]
+    rng.shuffle(vertices)
+    return make_graph(vertices, [(u, v, 1.0, 1.0) for u, v in edges])
+
+
+def _cycle(k):
+    names = [f"c{i}" for i in range(k)]
+    return make_graph(names, [(names[i], names[(i + 1) % k], 1.0, 1.0) for i in range(k)])
+
+
+def _named_graphs():
+    k33 = make_graph("abcxyz", [(a, b, 1.0, 1.0) for a in "abc" for b in "xyz"])
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    petersen = make_graph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                          [(u, v, 1.0, 1.0) for u, v in outer + inner + spokes])
+    cube = [format(i, "03b") for i in range(8)]
+    q3 = make_graph(cube, [(a, b, 1.0, 1.0) for a in cube for b in cube
+                           if a < b and sum(x != y for x, y in zip(a, b)) == 1])
+    named = {f"C{k}": (_cycle(k), k) for k in range(3, 41)}
+    named.update({"K33": (k33, 4), "Petersen": (petersen, 5), "Q3": (q3, 4)})
+    return named
+
+
+def test_girth_matches_per_edge_reference():
+    for name, g in fixtures.catalogue().items():
+        assert graph_stats(g).girth_lower_bound == _reference_girth(g), name
+    rng = random.Random(20260907)
+    kinds = set()
+    for trial in range(1200):
+        g = _shuffled_random_graph(rng)
+        assert validate(g).ok
+        girth = graph_stats(g).girth_lower_bound
+        assert girth == _reference_girth(g), (trial, g)
+        kinds.add("single" if len(g.vertices) == 1 else "tree" if girth == 0 else "cyclic")
+    assert kinds == {"single", "tree", "cyclic"}
+    for name, (g, expected) in _named_graphs().items():
+        assert graph_stats(g).girth_lower_bound == _reference_girth(g) == expected, name
+
+
+def _unflagged_graphs():
+    graphs = [g for g in fixtures.catalogue().values() if not g.backtrack]
+    rng = np.random.default_rng(20260908)
+    graphs += [random_graph(rng, max_vertices=7, extra_edges=int(rng.integers(0, 4)))
+               for _ in range(40)]
+    return graphs
+
+
+def test_girth_is_first_nonzero_trace_and_shortest_cycle_class():
+    # weights are positive, so every closed non-backtracking walk adds a
+    # positive term: tr(T^n) and the Newton coefficients below the girth are
+    # exact zeros, with nothing to cancel
+    L = 6
+    for g in _unflagged_graphs():
+        girth = graph_stats(g).girth_lower_bound
+        T = transfer_matrix(g).dense()
+        power = np.eye(len(T))
+        first = 0
+        for n in range(1, len(T) + 1):
+            power = T @ power
+            if np.trace(power) != 0:
+                first = n
+                break
+        assert first == girth, g
+        lengths = [r.length for r in prime_cycles(g, L)]
+        assert min(lengths, default=0) == (girth if girth <= L else 0), g
+        c = fredholm_det(transfer_matrix(g), len(T)).c
+        assert np.all(c[1:girth] == 0), g
+        if girth:
+            assert c[girth] != 0, g
 
 
 def test_serialize_parse_round_trip():
