@@ -5,7 +5,8 @@ is compressed sparse row; :func:`edge_operators` builds the four edge-space
 maps for the plain graph and, block by block, for a local system, so the
 untwisted operators are its trivial one-dimensional case.  The vertex-space
 factorization series and the roundtrip product built from them live here
-too, shared by the determinant routes and the twisted L-function.
+too; the determinant routes use them for the zeta function and, with a
+local system, for the L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -107,14 +108,16 @@ def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     )
 
 
-def transfer_matrix(g: WeightedGraph) -> LinearOperator:
-    """Weighted non-backtracking (Hashimoto) operator on oriented edges."""
-    return edge_operators(g)[3]
+def transfer_matrix(g: WeightedGraph, system=None) -> LinearOperator:
+    """Weighted non-backtracking (Hashimoto) operator on oriented edges,
+    twisted by a local system if one is given."""
+    return edge_operators(g, system)[3]
 
 
-def incidence_maps(g: WeightedGraph) -> tuple[LinearOperator, LinearOperator, LinearOperator]:
-    """The three maps linking vertex and edge space: spread, endpoint, flip."""
-    return edge_operators(g)[:3]
+def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
+    """The three maps linking vertex and edge space: spread, endpoint, flip,
+    twisted by a local system if one is given."""
+    return edge_operators(g, system)[:3]
 
 
 def vertex_series(
@@ -135,12 +138,7 @@ def roundtrip_product(g: WeightedGraph, order: int, skip=frozenset(), dim: int =
     for u, v in g.edges:
         if frozenset((u, v)) in skip:
             continue
-        W = g.weight[(u, v)] * g.weight[(v, u)]
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        if order >= 2:
-            c[2] = -W
-        factor = Series(c)
+        factor = Series([1.0, 0.0, -g.weight[(u, v)] * g.weight[(v, u)]], order=order)
         for _ in range(dim):
             result = result * factor
     return result

@@ -71,19 +71,31 @@ def _require_no_flags(g: WeightedGraph, route: str) -> None:
         raise ValueError(f"route {route} requires an empty backtrack set")
 
 
-def zeta_fredholm(g: WeightedGraph, M: int) -> RouteResult:
-    """Z^{-1} = det(1 - uT) via power traces.  Works for any backtrack set."""
-    T = transfer_matrix(g)
-    return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": len(T.rows)})
+def has_unit_weights(g: WeightedGraph) -> bool:
+    """Every oriented weight within 1e-12 of 1: where the classical route applies."""
+    return all(abs(w - 1.0) <= 1e-12 for w in g.weight.values())
 
 
-def zeta_sunada(g: WeightedGraph, M: int) -> RouteResult:
+def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
+    """Z^{-1} = det(1 - uT) via power traces.  Works for any backtrack set.
+
+    With a local system T is twisted and the result is the reciprocal
+    L-series; the zeta function is the trivial one-dimensional case."""
+    T = transfer_matrix(g, system)
+    return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": T.mat.shape[0]})
+
+
+def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
     """Factorization route: det of the vertex-space series times the
-    roundtrip product over unoriented edges.  Empty backtrack set only."""
+    roundtrip product over unoriented edges.  Empty backtrack set only.
+
+    With a local system of dimension d the incidence maps are twisted and
+    each roundtrip factor is raised to the power d."""
     _require_no_flags(g, "sunada")
-    det = vertex_series(*incidence_maps(g), M).det()
-    series = det * roundtrip_product(g, M)
-    return RouteResult("sunada", series.truncate(M), {"vertex_dimension": len(g.vertices)})
+    ms = vertex_series(*incidence_maps(g, system), M)
+    dim = 1 if system is None else system.dim
+    series = ms.det() * roundtrip_product(g, M, dim=dim)
+    return RouteResult("sunada", series.truncate(M), {"vertex_dimension": ms.dim})
 
 
 def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
@@ -126,28 +138,15 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     _require_no_flags(g, "bass")
     if variant not in ("corrected", "as-printed"):
         raise ValueError(f"unknown variant {variant!r}")
-    sigma, tau, flip = incidence_maps(g)
+    s_d, t_d, j_d = (op.dense() for op in incidence_maps(g))
     A = adjacency_matrix(g).dense()
-    B2 = zigzag_matrix(g, 2).dense()
-    s_d, t_d, j_d = sigma.dense(), tau.dense(), flip.dense()
     nv, ne = A.shape[0], j_d.shape[0]
-    dim = nv + ne
     k = 2 if variant == "corrected" else 1
-    c0 = np.eye(dim, dtype=np.complex128)
-    c1 = np.zeros((dim, dim), dtype=np.complex128)
-    c1[:nv, :nv] = -A
-    c1[nv:, :nv] = s_d
-    c1[nv:, nv:] = j_d
-    c2 = np.zeros((dim, dim), dtype=np.complex128)
-    c2[:nv, :nv] = B2
-    c2[:nv, nv:] = t_d @ np.linalg.matrix_power(j_d, k)
-    coeffs = [c0, c1, c2][: M + 1]
-    while len(coeffs) < M + 1:
-        coeffs.append(np.zeros((dim, dim), dtype=np.complex128))
-    series = MatrixSeries(coeffs).det()
-    return RouteResult(
-        "bass", series, {"variant": variant, "block_sizes": (nv, ne)}
-    )
+    c1 = np.block([[-A, np.zeros((nv, ne))], [s_d, j_d]])
+    c2 = np.zeros_like(c1)
+    c2[:nv] = np.hstack([zigzag_matrix(g, 2).dense(), t_d @ np.linalg.matrix_power(j_d, k)])
+    series = MatrixSeries([np.eye(nv + ne), c1, c2], M).det()
+    return RouteResult("bass", series, {"variant": variant, "block_sizes": (nv, ne)})
 
 
 def backtrack_weight_constant(g: WeightedGraph, variant: str = "W") -> float:
@@ -180,17 +179,14 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
     it is known to deviate from the Fredholm determinant and the result is
     flagged, not fixed."""
     alpha = backtrack_weight_constant(g, alpha_variant)
-    coeffs = vertex_series(*incidence_maps(g), M).coeffs
+    head = vertex_series(*incidence_maps(g), M).coeffs
     # orders 1-2 are the zigzag walks, which filter only flagged departures
-    coeffs[1:3] = [-zigzag_matrix(g, 1).dense(), zigzag_matrix(g, 2).dense()][:M]
-    det = MatrixSeries(coeffs).det()
+    zigzag = [-zigzag_matrix(g, 1).dense(), zigzag_matrix(g, 2).dense()]
+    det = MatrixSeries([head[0], *zigzag, *head[3:]], M).det()
     flagged = {frozenset(e) for e in g.backtrack}
     series = det * roundtrip_product(g, M, skip=flagged)
     if alpha != 0.0:
-        expc = np.zeros(M + 1, dtype=np.complex128)
-        if M >= 2:
-            expc[2] = -alpha
-        series = series * Series(expc).exp()
+        series = series * Series([0.0, 0.0, -alpha], order=M).exp()
     return RouteResult(
         "partial",
         series.truncate(M),
@@ -206,33 +202,16 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     """Unit-weight specialization (1-u^2)^{-chi} det(1 - uA + u^2 Q) with
     chi the Euler number; valid only when every weight is 1."""
     _require_no_flags(g, "classical")
-    if any(abs(w - 1.0) > 1e-12 for w in g.weight.values()):
+    if not has_unit_weights(g):
         raise ValueError("classical route requires unit weights")
-    A = adjacency_matrix(g).dense().astype(np.complex128)
-    Q = excess_matrix(g).dense().astype(np.complex128)
-    nv = A.shape[0]
-    coeffs = [np.eye(nv, dtype=np.complex128)]
-    if M >= 1:
-        coeffs.append(-A)
-    if M >= 2:
-        coeffs.append(Q)
-    while len(coeffs) < M + 1:
-        coeffs.append(np.zeros((nv, nv), dtype=np.complex128))
-    det = MatrixSeries(coeffs).det()
+    A = adjacency_matrix(g).dense()
+    det = MatrixSeries([np.eye(A.shape[0]), -A, excess_matrix(g).dense()], M).det()
     chi = len(g.vertices) - len(g.edges)
-    base_c = np.zeros(M + 1, dtype=np.complex128)
-    base_c[0] = 1.0
-    if M >= 2:
-        base_c[2] = -1.0
-    base = Series(base_c)
+    base = Series([1.0, 0.0, -1.0], order=M)
+    factor = base.invert() if chi > 0 else base
     series = det
-    if chi > 0:
-        inv = base.invert()
-        for _ in range(chi):
-            series = series * inv
-    else:
-        for _ in range(-chi):
-            series = series * base
+    for _ in range(abs(chi)):
+        series = series * factor
     return RouteResult("classical", series.truncate(M), {"euler_number": chi})
 
 
@@ -265,7 +244,7 @@ def cross_validate(
     if not g.backtrack:
         series["sunada"] = zeta_sunada(g, M).series
         series["bass"] = zeta_bass(g, M).series
-        if all(abs(w - 1.0) <= 1e-12 for w in g.weight.values()):
+        if has_unit_weights(g):
             series["classical"] = zeta_classical(g, M).series
     else:
         if g.has_symmetric_backtrack():

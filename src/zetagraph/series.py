@@ -1,8 +1,10 @@
 """Truncated power series in one variable, scalar and matrix valued.
 
-A Series holds complex coefficients c_0..c_M for a fixed truncation order M.
-Binary operations zero-extend the shorter operand, so mixing orders is safe
-but the high coefficients of the result are only as meaningful as the inputs.
+A Series holds complex coefficients c_0..c_M for a fixed truncation order M;
+Series(head, order=M) zero-pads a short head, and a MatrixSeries stores only
+its head C_0..C_deg beside M.  Binary operations zero-extend the shorter
+operand, so mixing orders is safe but the high coefficients of the result
+are only as meaningful as the inputs.
 
 Two determinants live here, and both turn power sums into coefficients by
 the same Newton recursion.  fredholm_det expands det(1 - u*T) from the
@@ -217,57 +219,46 @@ def _newton(p: np.ndarray) -> Series:
 
 
 class MatrixSeries:
-    """Square-matrix-valued truncated series, all coefficients one dimension."""
+    """Square-matrix-valued series P = sum_k C_k u^k truncated at a fixed order.
 
-    __slots__ = ("coeffs",)
+    Only the head C_0..C_deg is stored, deg being the last nonzero
+    coefficient at or below the order; the coefficients above it are zero
+    up to the order, which defaults to len(coefficients) - 1.
+    """
 
-    def __init__(self, coefficients):
+    __slots__ = ("coeffs", "order")
+
+    def __init__(self, coefficients, order: int | None = None):
         mats = [np.asarray(m, dtype=np.complex128) for m in coefficients]
         if not mats:
             raise ValueError("need at least the constant coefficient")
         d = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (d, d):
-                raise ValueError("all coefficients must be square of equal size")
+        if any(m.shape != (d, d) for m in mats):
+            raise ValueError("all coefficients must be square of equal size")
+        self.order = len(mats) - 1 if order is None else order
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
+        mats = mats[: self.order + 1]
+        while len(mats) > 1 and not mats[-1].any():
+            mats.pop()
         self.coeffs = mats
-
-    @staticmethod
-    def identity_minus_u(mat, order: int) -> "MatrixSeries":
-        if hasattr(mat, "mat"):
-            mat = mat.mat
-        mat = np.asarray(mat, dtype=np.complex128)
-        d = mat.shape[0]
-        coeffs = [np.eye(d, dtype=np.complex128), -mat]
-        coeffs += [np.zeros((d, d), dtype=np.complex128)] * max(0, order - 1)
-        return MatrixSeries(coeffs[: order + 1])
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def dim(self) -> int:
         return self.coeffs[0].shape[0]
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        m = max(self.order, other.order)
-        d = self.dim
-        zero = np.zeros((d, d), dtype=np.complex128)
-        a = self.coeffs + [zero] * (m - self.order)
-        b = other.coeffs + [zero] * (m - other.order)
-        out = []
-        for n in range(m + 1):
-            acc = zero.copy()
-            for j in range(n + 1):
-                acc += a[j] @ b[n - j]
-            out.append(acc)
-        return MatrixSeries(out)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a @ b
+        return MatrixSeries(out, max(self.order, other.order))
 
     def det(self) -> Series:
         """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula.
 
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
-        where deg is the last nonzero coefficient, (log det P)' = tr(X P')
+        where C_deg ends the stored head, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
         of log det P = sum l_n u^n: about M*deg matrix products, keeping
         the last deg terms of X.  _check_interpolation checks every order
@@ -282,7 +273,7 @@ class MatrixSeries:
         if np.max(np.abs(self.coeffs[0] - ident)) > 1e-12:
             raise ValueError("constant coefficient must be the identity")
         C = self.coeffs
-        deg = max((k for k in range(1, m + 1) if C[k].any()), default=0)
+        deg = len(C) - 1
         if deg == 0:
             return Series.one(m)
         p = np.zeros(m + 1, dtype=np.complex128)  # p_n = -n l_n

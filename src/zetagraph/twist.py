@@ -3,10 +3,10 @@
 A local system assigns a d x d unitary transport to every oriented edge;
 the transport of the reversal must be the inverse.  Edge fibers are
 trivialized at the origin vertex, so the edge space becomes |OE| copies of
-C^d and the flip operator carries exactly one transport per step.  The
-L-function is computed three ways: an Euler product over prime cycles with
-holonomy factors, the vertex-space factorization determinant, and the
-Fredholm determinant of the twisted transfer operator.
+C^d and the flip operator carries exactly one transport per step.  Zeta is
+the L-function of the trivial one-dimensional system, so the L-function is
+the Euler product over prime cycles with holonomy factors or a zeta route
+(zeta_sunada, zeta_fredholm) given the system.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from typing import Mapping
 import numpy as np
 
 from .cycles import euler_product
+from .errors import GraphFormatError, GraphValidationError
 from .graph import OrientedEdge, ValidationReport, WeightedGraph, canonical_order
-from .operators import edge_operators, roundtrip_product, vertex_series
-from .series import Series, fredholm_det
+from .routes import zeta_fredholm, zeta_sunada
+from .series import Series
 
 UNITARITY_TOL = 1e-10
 
@@ -101,42 +102,26 @@ def gauge_transform(
     return LocalSystem(system.dim, table)
 
 
-def twisted_operators(g: WeightedGraph, system: LocalSystem):
-    """Block versions of spread, endpoint, flip, and transfer.
-
-    Vertex space: |V| fibers of dimension d; edge space: |OE| fibers, each
-    trivialized at the edge's origin.  With the trivial one-dimensional
-    system these reduce entrywise to the untwisted operators, backtrack
-    flags included.
-    """
-    return edge_operators(g, system)
-
-
 def lfunction(g: WeightedGraph, system: LocalSystem, M: int, route: str = "determinant") -> Series:
     """Reciprocal L-series by the requested route.
 
     oracle: Euler product over prime cycles with holonomy determinant
-    factors (any backtrack set).  determinant: vertex-space factorization
-    det times prod (1-u^2 W(e))^d; empty backtrack set only.  fredholm:
-    det(1 - u T_twisted) (any backtrack set).
+    factors (any backtrack set).  determinant: zeta_sunada, the vertex-space
+    factorization det times prod (1-u^2 W(e))^d; empty backtrack set only.
+    fredholm: zeta_fredholm, det(1 - u T_twisted) (any backtrack set).
     """
     report = validate_local_system(g, system)
     if not report.ok:
-        from .errors import GraphValidationError
-
         raise GraphValidationError(report)
     if route == "oracle":
         return euler_product(g, M, system=system)
     if route == "fredholm":
-        _, _, _, T = twisted_operators(g, system)
-        return fredholm_det(T, M)
+        return zeta_fredholm(g, M, system).series
     if route != "determinant":
         raise ValueError(f"unknown route {route!r}")
     if g.backtrack:
         raise ValueError("determinant route requires an empty backtrack set")
-    sigma, tau, flip, _ = twisted_operators(g, system)
-    det = vertex_series(sigma, tau, flip, M).det()
-    return (det * roundtrip_product(g, M, dim=system.dim)).truncate(M)
+    return zeta_sunada(g, M, system).series
 
 
 def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
@@ -146,8 +131,6 @@ def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
     [[[re,im],...],...]}, ...]};  the reverse transfer is the conjugate
     transpose unless listed itself.
     """
-    from .errors import GraphFormatError
-
     block = document.get("local_system")
     if block is None:
         return None

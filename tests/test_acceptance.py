@@ -188,7 +188,8 @@ def test_criterion_6_errata_regressions():
         path = os.path.join(d, "bt2.json")
         from zetagraph.graph import serialize_graph
 
-        open(path, "w").write(serialize_graph(bt2))
+        with open(path, "w") as fh:
+            fh.write(serialize_graph(bt2))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             exit_code = cli_main(["check", path, "--order", "6", "--experimental"])
     ok = (bass_ok

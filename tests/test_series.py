@@ -8,7 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import complete_graph
 from zetagraph import fixtures, series
-from zetagraph.operators import incidence_maps, transfer_matrix
+from zetagraph.operators import (
+    adjacency_matrix,
+    excess_matrix,
+    incidence_maps,
+    transfer_matrix,
+    zigzag_matrix,
+)
 from zetagraph.series import (
     MatrixSeries,
     Series,
@@ -57,7 +63,8 @@ def minor_expansion(ms):
     N = P - I, each minor by cofactor expansion over coefficient arrays
     truncated to the order of P; independent of MatrixSeries.det."""
     m, d = ms.order, ms.dim
-    N = np.array(ms.coeffs)
+    N = np.zeros((m + 1, d, d), dtype=complex)
+    N[: len(ms.coeffs)] = ms.coeffs  # the head, zero-padded to the order
     N[0] -= np.eye(d)
 
     def det(rows, cols):
@@ -203,8 +210,32 @@ def test_matrix_series_det_equals_fredholm_embedding():
     rng = np.random.default_rng(4)
     for dim in (2, 3, 5):
         T = rng.normal(size=(dim, dim))
-        ms = MatrixSeries.identity_minus_u(T, 8)
+        ms = MatrixSeries([np.eye(dim), -T], 8)
         assert max_deviation(ms.det(), fredholm_det(T, 8)) < 1e-12
+
+
+def test_matrix_series_keeps_its_head_and_pads_nothing():
+    # the classical pencil I - uA + u^2 Q and the bass block pencil of k4:
+    # the head alone at order M gives the bit pattern of the head padded
+    # with zero matrices up to M, and only the head is stored
+    g = fixtures.catalogue()["k4"]
+    A = adjacency_matrix(g).dense()
+    sigma, tau, flip = (op.dense() for op in incidence_maps(g))
+    nv, ne = A.shape[0], flip.shape[0]
+    c1 = np.block([[-A, np.zeros((nv, ne))], [sigma, flip]])
+    c2 = np.zeros((nv + ne, nv + ne))
+    c2[:nv, :nv] = zigzag_matrix(g, 2).dense()
+    c2[:nv, nv:] = tau @ flip @ flip
+    pencils = {"classical": [np.eye(nv), -A, excess_matrix(g).dense()],
+               "bass": [np.eye(nv + ne), c1, c2]}
+    for name, head in pencils.items():
+        d = head[0].shape[0]
+        for order in (1, 2, 24):
+            ms = MatrixSeries(head, order)
+            padded = MatrixSeries(head[: order + 1] + [np.zeros((d, d))] * (order - 2))
+            assert ms.order == padded.order == order
+            assert len(ms.coeffs) == min(order, 2) + 1, (name, order)
+            assert ms.det().c.tobytes() == padded.det().c.tobytes(), (name, order)
 
 
 def test_matrix_series_det_multiplicative():
@@ -258,7 +289,7 @@ def test_jacobi_det_is_multiplicative(data):
 
 def _pencil(rng, dim, order):
     T = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return MatrixSeries.identity_minus_u(T, order), T
+    return MatrixSeries([np.eye(dim), -T], order), T
 
 
 def test_point_check_refuses_corrupted_series_above_minor_dimension(rng, monkeypatch):

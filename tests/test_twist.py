@@ -5,7 +5,7 @@ from conftest import random_graph, random_unitary
 from zetagraph import fixtures
 from zetagraph.cycles import holonomy as transport_product, prime_cycles
 from zetagraph.errors import GraphFormatError, GraphValidationError
-from zetagraph.operators import incidence_maps, transfer_matrix
+from zetagraph.operators import edge_operators, incidence_maps, transfer_matrix
 from zetagraph.routes import zeta_fredholm, zeta_sunada
 from zetagraph.series import fredholm_det, max_deviation
 from zetagraph.twist import (
@@ -16,7 +16,6 @@ from zetagraph.twist import (
     local_system_block,
     make_local_system,
     trivial_system,
-    twisted_operators,
     validate_local_system,
 )
 
@@ -41,7 +40,7 @@ def test_trivial_system_reduces_to_zeta():
 
 def test_trivial_operators_match_untwisted_entrywise():
     for name, g in CAT.items():
-        sigma, tau, flip, T = twisted_operators(g, trivial_system(g))
+        sigma, tau, flip, T = edge_operators(g, trivial_system(g))
         s0, t0, j0 = incidence_maps(g)
         assert np.allclose(sigma.dense(), s0.dense()), name
         assert np.allclose(tau.dense(), t0.dense()), name
@@ -70,6 +69,20 @@ def test_routes_agree_on_random_systems(rng):
             det = lfunction(g, system, 10, route="determinant")
             assert max_deviation(oracle, fred) < 1e-9
             assert max_deviation(det, fred) < 1e-9
+
+
+def test_twisted_route_metadata_reports_fiber_dimensions(rng):
+    g = CAT["k4"]
+    system = random_system(g, rng, 2)
+    n_oe, n_v = 2 * len(g.edges), len(g.vertices)
+    assert zeta_fredholm(g, 6).metadata["dimension"] == n_oe
+    assert zeta_sunada(g, 6).metadata["vertex_dimension"] == n_v
+    fred = zeta_fredholm(g, 6, system)
+    sunada = zeta_sunada(g, 6, system)
+    assert fred.metadata["dimension"] == 2 * n_oe
+    assert sunada.metadata["vertex_dimension"] == 2 * n_v
+    assert max_deviation(fred.series, lfunction(g, system, 6, route="fredholm")) == 0.0
+    assert max_deviation(sunada.series, lfunction(g, system, 6, route="determinant")) == 0.0
 
 
 def test_flagged_graphs_twist_through_oracle_and_fredholm(rng):
@@ -105,7 +118,7 @@ def test_twisted_flip_determinant_is_roundtrip_product(rng):
     g = random_graph(rng, max_vertices=5)
     dim = 2
     system = random_system(g, rng, dim)
-    _, _, flip, _ = twisted_operators(g, system)
+    _, _, flip, _ = edge_operators(g, system)
     lhs = fredholm_det(flip, 8)
     rhs = np.zeros(9, dtype=complex)
     rhs[0] = 1.0
