@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cycles import edge_sequence_label, euler_product, prime_cycles
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
-from .families import convergence_study, make_source, study_csv_lines, truncate_source
+from .families import convergence_study, make_source, study_csv_lines, truncation_depth
 from .graph import (
     WeightedGraph,
     _load_document,
@@ -86,8 +86,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--name", required=True)
     sp.add_argument("--r", type=float, required=True)
     grp = sp.add_mutually_exclusive_group()
-    grp.add_argument("--epsilon", type=float, default=None,
-                     help="truncate at the smallest K with tail weight <= epsilon")
+    grp.add_argument("--epsilon", type=float, default=1e-3,
+                     help="truncate at the smallest K with tail weight <= epsilon "
+                          "(default 1e-3)")
     grp.add_argument("--blocks", type=int, default=None, metavar="K",
                      help="truncate at block K exactly")
     sp.add_argument("--out", default=None, metavar="FILE",
@@ -184,19 +185,11 @@ def _cmd_family(args) -> int:
     # the study runs first so that invalid study arguments leave no --out file
     rows = None if args.study is None else convergence_study(source, args.study, args.order)
     if args.out is not None:
-        if args.blocks is not None:
-            graph = source.block(args.blocks)
-            tail = source.tail_weight(args.blocks)
-            K = args.blocks
-        else:
-            epsilon = args.epsilon if args.epsilon is not None else 1e-3
-            graph, tail = truncate_source(source, epsilon)
-            K = (len(graph.edges) - 1) // 4 if args.name == "triangle-chain" else None
+        K = truncation_depth(source, args.epsilon) if args.blocks is None else args.blocks
+        graph, tail = source.block(K), source.tail_weight(K)
         Path(args.out).write_text(serialize_graph(graph) + "\n")
-        note = f"wrote {args.out}: {len(graph.vertices)} vertices, tail weight {tail!r}"
-        if K is not None:
-            note += f", blocks 0..{K}"
-        print(note, file=sys.stderr)
+        print(f"wrote {args.out}: {len(graph.vertices)} vertices, tail weight {tail!r}, "
+              f"blocks 0..{K}", file=sys.stderr)
     if rows is not None:
         _emit(study_csv_lines(rows))
     return 0

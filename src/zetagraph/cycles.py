@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .graph import OrientedEdge, WeightedGraph, canonical_order, reverse
-from .series import Series, fredholm_det
+from .series import Series, fredholm_det, times_sparse
 
 LENGTH_CAP = 20
 
@@ -211,18 +211,14 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
 
     Multiplies det(1 - w(p) u^{l(p)} H_p) over primes of length <= M; the
     truncation at order M is exact since longer primes start at u^{M+1}.
-    Each factor expands the characteristic polynomial sum_k a_k t^k of H_p,
-    det(1 - t H_p), at t = w(p) u^{l(p)}; without a local system H_p = 1 and
-    the polynomial is 1 - t.
+    Each factor is the characteristic polynomial sum_k a_k t^k of H_p,
+    det(1 - t H_p), at t = w(p) u^{l(p)}: a sparse polynomial in u^{l(p)}
+    with coefficients a_k w(p)^k, applied in place by times_sparse.  Without
+    a local system H_p = 1 and the polynomial is 1 - t.
     """
-    result = Series.one(M)
+    factors = []
     for rec in prime_cycles(g, M, system=system):
-        if not rec.is_prime:
-            continue
-        charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
-        coeffs = np.zeros(M + 1, dtype=np.complex128)
-        for k, a in enumerate(charpoly):
-            if k * rec.length <= M:
-                coeffs[k * rec.length] = a * rec.weight ** k
-        result = result * Series(coeffs)
-    return result
+        if rec.is_prime:
+            charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
+            factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
+    return times_sparse(Series.one(M), factors)

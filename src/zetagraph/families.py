@@ -99,8 +99,8 @@ def make_source(name: str, r: float) -> GraphSource:
     raise ValueError(f"unknown family {name!r}; built-ins: triangle-chain, ladder")
 
 
-def truncate_source(source: GraphSource, epsilon: float) -> tuple[WeightedGraph, float]:
-    """Smallest truncation whose left-out weight is at most epsilon."""
+def truncation_depth(source: GraphSource, epsilon: float) -> int:
+    """Smallest block index K whose left-out weight is at most epsilon."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     K = 0
@@ -110,6 +110,12 @@ def truncate_source(source: GraphSource, epsilon: float) -> tuple[WeightedGraph,
             raise ResourceCapError(
                 f"reaching tail weight {epsilon} needs more than {BLOCK_CAP} blocks"
             )
+    return K
+
+
+def truncate_source(source: GraphSource, epsilon: float) -> tuple[WeightedGraph, float]:
+    """Smallest truncation whose left-out weight is at most epsilon."""
+    K = truncation_depth(source, epsilon)
     return source.block(K), source.tail_weight(K)
 
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .cycles import reduced_walks
 from .graph import WeightedGraph, canonical_order, reverse
-from .series import MatrixSeries, Series
+from .series import MatrixSeries, Series, times_sparse
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,9 @@ def vertex_series(
 
 
 def roundtrip_product(g: WeightedGraph, order: int, skip=frozenset(), dim: int = 1) -> Series:
-    """Prod over unoriented edges (1 - u^2 W(e))^dim, skipping a given set."""
-    result = Series.one(order)
-    for u, v in g.edges:
-        if frozenset((u, v)) in skip:
-            continue
-        factor = Series([1.0, 0.0, -g.weight[(u, v)] * g.weight[(v, u)]], order=order)
-        for _ in range(dim):
-            result = result * factor
-    return result
+    """Prod over unoriented edges (1 - u^2 W(e))^dim in edge order, skipping a given set."""
+    W = [g.weight[(u, v)] * g.weight[(v, u)] for u, v in g.edges if frozenset((u, v)) not in skip]
+    return times_sparse(Series.one(order), [((1.0, -w), 2) for w in W for _ in range(dim)])
 
 
 def adjacency_matrix(g: WeightedGraph) -> LinearOperator:

@@ -25,7 +25,7 @@ from .operators import (
     vertex_series,
     zigzag_matrix,
 )
-from .series import MatrixSeries, Series, coeffs_agree, fredholm_det, max_deviation
+from .series import MatrixSeries, Series, coeffs_agree, fredholm_det, max_deviation, times_sparse
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,11 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     A = adjacency_matrix(g).dense()
     det = MatrixSeries([np.eye(A.shape[0]), -A, excess_matrix(g).dense()], M).det()
     chi = len(g.vertices) - len(g.edges)
-    base = Series([1.0, 0.0, -1.0], order=M)
-    factor = base.invert() if chi > 0 else base
-    series = det
-    for _ in range(abs(chi)):
-        series = series * factor
-    return RouteResult("classical", series.truncate(M), {"euler_number": chi})
+    if chi == 1:  # a tree: (1 - u^2)^-1 = 1 + u^2 + u^4 + ...
+        series = det * Series([1.0, 0.0] * (M // 2 + 1), order=M)
+    else:
+        series = times_sparse(det, [((1.0, -1.0), 2)] * -chi)
+    return RouteResult("classical", series, {"euler_number": chi})
 
 
 ROUTE_BUILDERS = {

@@ -4,10 +4,12 @@ A Series holds complex coefficients c_0..c_M for a fixed truncation order M;
 Series(head, order=M) zero-pads a short head, and a MatrixSeries stores only
 its head C_0..C_deg beside M.  Binary operations zero-extend the shorter
 operand, so mixing orders is safe but the high coefficients of the result
-are only as meaningful as the inputs.
+are only as meaningful as the inputs.  times_sparse multiplies a series by
+sparse polynomial factors such as 1 - w u^l, one in-place update each, for
+the Euler, roundtrip and (1 - u^2)^-chi products.
 
-Two determinants live here, and both turn power sums into coefficients by
-the same Newton recursion.  fredholm_det expands det(1 - u*T) from the
+Two determinants and Series.exp turn power sums into coefficients by the
+same Newton recursion.  fredholm_det expands det(1 - u*T) from the
 power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
 single code path serves every matrix representation.  MatrixSeries.det
 takes the determinant of a matrix-valued series P = sum C_k u^k with C_0 = I
@@ -96,53 +98,14 @@ class Series:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant coefficient."""
-        if self.c[0] == 0:
-            raise ValueError("cannot invert a series with zero constant coefficient")
-        m = self.order
-        b = np.zeros(m + 1, dtype=np.complex128)
-        b[0] = 1.0 / self.c[0]
-        for k in range(1, m + 1):
-            b[k] = -np.dot(self.c[1 : k + 1], b[k - 1 :: -1][: k]) / self.c[0]
-        return Series(b)
-
-    def derivative(self) -> "Series":
-        """Termwise derivative; the truncation order drops by one."""
-        if self.order == 0:
-            return Series([0.0])
-        n = np.arange(1, self.order + 1)
-        return Series(self.c[1:] * n)
-
-    def scale_argument(self, lam: complex) -> "Series":
-        """Compose with the scaled variable: coefficients c_n -> c_n * lam^n."""
-        powers = np.power(np.complex128(lam), np.arange(self.order + 1))
-        return Series(self.c * powers)
-
     def exp(self) -> "Series":
-        """Truncated exponential; requires constant coefficient 0."""
+        """Truncated exponential; requires constant coefficient 0.
+
+        exp(a) = exp(-sum_j p_j u^j / j) with power sums p_j = -j a_j.
+        """
         if self.c[0] != 0:
             raise ValueError("exp needs constant coefficient 0")
-        m = self.order
-        e = np.zeros(m + 1, dtype=np.complex128)
-        e[0] = 1.0
-        # k e_k = sum_{j=1..k} j a_j e_{k-j}, from e' = a' e
-        for k in range(1, m + 1):
-            j = np.arange(1, k + 1)
-            e[k] = np.dot(j * self.c[1 : k + 1], e[k - 1 :: -1][: k]) / k
-        return Series(e)
-
-    def log(self) -> "Series":
-        """Truncated logarithm; requires constant coefficient 1."""
-        if self.c[0] != 1:
-            raise ValueError("log needs constant coefficient 1")
-        m = self.order
-        l = np.zeros(m + 1, dtype=np.complex128)
-        for k in range(1, m + 1):
-            j = np.arange(1, k)
-            corr = np.dot(j * l[1:k], self.c[k - 1 : 0 : -1][: k - 1]) / k if k > 1 else 0.0
-            l[k] = self.c[k] - corr
-        return Series(l)
+        return _newton(-np.arange(self.order + 1) * self.c)
 
     def __call__(self, u: complex) -> complex:
         val = 0j
@@ -180,6 +143,22 @@ def csv_lines(s: Series) -> list[str]:
     for n, z in enumerate(s.c):
         lines.append(f"{n},{_fmt(z.real)},{_fmt(z.imag)}")
     return lines
+
+
+def times_sparse(series: Series, factors) -> Series:
+    """series times prod over (a, step) in factors of sum_k a_k u^(k*step).
+
+    Each factor has a_0 = 1 and is applied in turn to one coefficient array,
+    c_n += sum_{k>=1} a_k c_{n - k*step} from the values before it; terms
+    past the order are skipped, so a step above the order changes nothing.
+    """
+    c = series.coefficients()
+    m = series.order
+    for a, step in factors:
+        old = c.copy()
+        for k in range(1, min(len(a) - 1, m // step) + 1):
+            c[k * step :] += a[k] * old[: m + 1 - k * step]
+    return Series(c)
 
 
 # ---------------------------------------------------------------------------

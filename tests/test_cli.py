@@ -144,6 +144,15 @@ def test_family_materialize(tmp_path, capsys):
     assert len(g.vertices) == 13 and len(g.edges) == 16
 
 
+def test_family_epsilon_reports_blocks_for_every_family(tmp_path, capsys):
+    out_path = tmp_path / "ladder.json"
+    code, _, err = run(capsys, ["family", "--name", "ladder", "--r", "0.5",
+                                "--epsilon", "1.0", "--out", str(out_path)])
+    assert code == 0
+    assert err == f"wrote {out_path}: 10 vertices, tail weight 0.75, blocks 0..3\n"
+    assert len(parse_graph(out_path.read_text()).vertices) == 10
+
+
 def test_family_block_materialize(tmp_path, capsys):
     out_path = tmp_path / "ladder.json"
     code, _, err = run(capsys, ["family", "--name", "ladder", "--r", "0.5",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from zetagraph.series import (
     csv_lines,
     fredholm_det,
     max_deviation,
+    times_sparse,
 )
 
 
@@ -108,49 +110,67 @@ def test_series_is_immutable_and_copies_input():
     assert s.coefficient(0) == 1.0
 
 
-def test_invert_geometric_series():
-    inv = Series([1, -1, 0, 0, 0, 0]).invert()
-    assert np.allclose(inv.coefficients(), np.ones(6))
-    s = Series(np.arange(1, 8, dtype=float))
-    assert np.allclose((s * s.invert()).coefficients(), [1, 0, 0, 0, 0, 0, 0], atol=1e-12)
+def test_series_evaluation():
+    assert Series([1, 0, 3])(0.5) == pytest.approx(1 + 3 * 0.25)
 
 
-def test_invert_requires_nonzero_constant():
-    with pytest.raises(ValueError):
-        Series([0, 1]).invert()
-
-
-def test_derivative_and_scale_and_eval():
-    s = Series([1, 0, 3])
-    assert np.allclose(s.derivative().coefficients(), [0, 6])
-    assert np.allclose(s.scale_argument(2.0).coefficients(), [1, 0, 12])
-    assert s(0.5) == pytest.approx(1 + 3 * 0.25)
-
-
-def test_log_of_one_minus_u_is_mercator():
-    s = Series([1, -1] + [0] * 8).log()
-    expected = [0] + [-1.0 / n for n in range(1, 10)]
-    assert np.allclose(s.coefficients(), expected)
-
-
-def test_exp_log_inverse_pair():
+def test_exp_matches_factorial_series_and_is_a_homomorphism():
+    # exp(t u) = sum t^n / n! u^n
+    for t in (0.5, -1.25, 0.3 + 0.7j):
+        got = Series([0, t] + [0] * 9).exp()
+        want = [t**n / math.factorial(n) for n in range(11)]
+        assert np.allclose(got.coefficients(), want, rtol=1e-14, atol=0)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        c = rng.normal(size=9)
-        c[0] = 1.0
-        s = Series(c)
-        assert max_deviation(s.log().exp(), s) < 1e-12
-        d = rng.normal(size=9) * 0.5
-        d[0] = 0.0
-        t = Series(d)
-        assert max_deviation(t.exp().log(), t) < 1e-11
+        a = rng.normal(size=9) * 0.5
+        b = rng.normal(size=9) + 1j * rng.normal(size=9)
+        a[0] = b[0] = 0.0
+        prod = Series(a).exp() * Series(b).exp()
+        assert max_deviation(prod, Series(a + b).exp()) < 1e-12
 
 
-def test_exp_log_preconditions():
+def test_exp_precondition():
     with pytest.raises(ValueError):
         Series([1, 1]).exp()
-    with pytest.raises(ValueError):
-        Series([2, 1]).log()
+
+
+def sequential_product(s, factors):
+    for a, step in factors:
+        c = np.zeros(s.order + 1, dtype=complex)
+        for k, ak in enumerate(a):
+            if k * step <= s.order:
+                c[k * step] = ak
+        s = s * Series(c)
+    return s
+
+
+def test_times_sparse_equals_sequential_binomial_products():
+    rng = np.random.default_rng(5)
+    M = 12
+    s = Series(rng.normal(size=M + 1))
+    for step in (1, 2, M, M + 1):
+        factors = [((1.0, -w), step) for w in rng.uniform(0.1, 1.5, size=6)]
+        got = times_sparse(s, factors)
+        assert got.order == M
+        assert np.all(got.c == sequential_product(s, factors).c), step
+    assert np.all(times_sparse(s, [((1.0, -0.5), M + 1)]).c == s.c)
+    assert np.all(times_sparse(Series.one(0), [((1.0, -0.5), 1)]).c == [1.0])
+
+
+def test_times_sparse_matches_sequential_twisted_charpoly_factors():
+    # the Euler product's factor det(1 - t H) at t = w u^l, H a 3x3 unitary
+    rng = np.random.default_rng(6)
+    M = 20
+    s = Series.one(M)
+    factors = []
+    for length in (1, 2, 3, 5, 7):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        w = rng.uniform(0.2, 0.9)
+        charpoly = fredholm_det(q, 3).c
+        factors.append(([a * w**k for k, a in enumerate(charpoly)], length))
+    got = times_sparse(s, factors)
+    want = sequential_product(s, factors)
+    assert np.max(np.abs(got.c - want.c)) < 1e-14
 
 
 def test_fredholm_det_scalar_cases():
