@@ -6,8 +6,8 @@ under reversal) behave perfectly: the product formula with its correction
 constant equal to zero matches the determinant.  A one-sided flag is the
 interesting failure: no closed edge sequence is admissible at all, yet the
 vertex-path picture suggests there should be one, and the product formula
-provably deviates.  The library keeps that deviation visible instead of
-papering over it.
+deviates from the determinant by exactly its factor exp(-alpha u^2).  The
+library keeps that deviation visible instead of papering over it.
 """
 
 from zetagraph import (

@@ -24,9 +24,7 @@ from .graph import (
 )
 from .operators import (
     LinearOperator,
-    adjacency_matrix,
     anchored_path_matrix,
-    excess_matrix,
     incidence_maps,
     reduced_path_matrix,
     transfer_matrix,
@@ -72,7 +70,6 @@ __all__ = [
     "Series",
     "ValidationReport",
     "WeightedGraph",
-    "adjacency_matrix",
     "anchored_path_matrix",
     "backtrack_weight_constant",
     "closed_sequences",
@@ -82,7 +79,6 @@ __all__ = [
     "cross_validate",
     "edge_sequence_label",
     "euler_product",
-    "excess_matrix",
     "fredholm_det",
     "gauge_transform",
     "graph_stats",

@@ -58,9 +58,10 @@ class WeightedGraph:
     def out_edges(self) -> dict[str, tuple[OrientedEdge, ...]]:
         """Each vertex's outgoing oriented edges in canonical order, built once."""
         out: dict[str, list[OrientedEdge]] = {x: [] for x in self.vertices}
-        for e in sorted(self.oriented_edges()):
-            out.setdefault(e[0], []).append(e)
-        return {x: tuple(es) for x, es in out.items()}
+        for u, v in self.edges:
+            out.setdefault(u, []).append((u, v))
+            out.setdefault(v, []).append((v, u))
+        return {x: tuple(sorted(es)) for x, es in out.items()}
 
     def neighbors(self, x: str) -> list[str]:
         return [v for _, v in self.out_edges.get(x, ())]
@@ -138,16 +139,11 @@ def validate(g: WeightedGraph) -> ValidationReport:
 
     # connectivity over the undirected edge set
     if g.vertices and not any(code in ("loop", "unknown-vertex") for code, _ in entries):
-        adj: dict[str, list[str]] = {x: [] for x in g.vertices}
-        for u, v in g.edges:
-            if u in adj and v in adj and u != v:
-                adj[u].append(v)
-                adj[v].append(u)
         stack = [g.vertices[0]]
         reached = {g.vertices[0]}
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for _, y in g.out_edges[x]:
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
@@ -203,10 +199,6 @@ def _girth(g: WeightedGraph) -> int:
     more, so a search stops once that reaches the best found.  At worst
     O(|V|·(|V| + |E|)), on trees and graphs of long girth.
     """
-    adj: dict[str, list[str]] = {x: [] for x in g.vertices}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
     best = 0
     for root in g.vertices:
         dist = {root: 0}
@@ -216,7 +208,7 @@ def _girth(g: WeightedGraph) -> int:
         while frontier and (best == 0 or 2 * depth + 1 < best):
             nxt = []
             for x in frontier:
-                for y in adj[x]:
+                for _, y in g.out_edges[x]:
                     if y not in dist:
                         dist[y] = depth + 1
                         parent[y] = x

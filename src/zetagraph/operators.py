@@ -10,8 +10,16 @@ local system, for the L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
-x to sum_x' w(x, x') x', so its matrix entry [x', x] is w(x, x').  The
-roundtrip weight of an edge is W(e) = w(e) * w(e reversed).
+x to sum_x' w(x, x') x', so its matrix entry [x', x] is w(x, x'); it is
+``zigzag_matrix(g, 1)``.  The roundtrip weight of an edge is
+W(e) = w(e) * w(e reversed).
+
+Backtrack flags. A flagged edge e may be followed by its reversal, so the
+flip sends e to zero: T = spread . endpoint - flip holds for every flag set.
+The flip is block diagonal over unoriented pairs, and det(1 - u flip) is the
+roundtrip product over the pairs with no flagged orientation.  Hence
+det(1 - uT) = det(vertex series) * roundtrip product for every flag set
+(Bass 1992; Kotani and Sunada 2000).
 """
 
 from __future__ import annotations
@@ -70,12 +78,12 @@ def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     spread: vertex -> weighted sum of its outgoing oriented edges.
     endpoint: oriented edge -> its target vertex, through the edge's transport.
     flip: oriented edge -> its reversal, scaled by the reversal's weight and
-          the edge's transport; zeroed wherever either orientation carries
-          the backtrack flag.
+          the edge's transport; zero at an edge that carries the backtrack
+          flag, whatever the flag of its reversal.
     T: column e holds w(e') U_e at row e' for every continuation e' with
        o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries
        the backtrack flag.  This is the weighted non-backtracking (Hashimoto)
-       operator.
+       operator, and T = spread . endpoint - flip.
 
     Without a system every transport is the scalar 1.  With one of dimension
     d, each vertex and edge carries a fiber C^d, edge fibers trivialized at
@@ -94,7 +102,7 @@ def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
         U = transport(e)
         spread.append((ei[e], vi[e[0]], g.weight[e] * one))
         endpoint.append((vi[e[1]], ei[e], U))
-        if e not in g.backtrack and reverse(e) not in g.backtrack:
+        if e not in g.backtrack:
             flip.append((ei[reverse(e)], ei[e], g.weight[reverse(e)] * U))
         for e2 in g.out_edges[e[1]]:
             if e2 == reverse(e) and e not in g.backtrack:
@@ -132,31 +140,14 @@ def vertex_series(
     return MatrixSeries(coeffs)
 
 
-def roundtrip_product(g: WeightedGraph, order: int, skip=frozenset(), dim: int = 1) -> Series:
-    """Prod over unoriented edges (1 - u^2 W(e))^dim in edge order, skipping a given set."""
-    W = [g.weight[(u, v)] * g.weight[(v, u)] for u, v in g.edges if frozenset((u, v)) not in skip]
+def roundtrip_product(g: WeightedGraph, order: int, dim: int = 1) -> Series:
+    """Prod over unoriented edges (1 - u^2 W(e))^dim in edge order.
+
+    Edges with a flagged orientation are left out: the flip has no factor
+    there, and an unflagged graph has none of them."""
+    W = [g.weight[(u, v)] * g.weight[(v, u)] for u, v in g.edges
+         if (u, v) not in g.backtrack and (v, u) not in g.backtrack]
     return times_sparse(Series.one(order), [((1.0, -w), 2) for w in W for _ in range(dim)])
-
-
-def adjacency_matrix(g: WeightedGraph) -> LinearOperator:
-    verts, _ = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    triplets = []
-    for u, v in g.edges:
-        triplets.append((vi[v], vi[u], g.weight[(u, v)]))
-        triplets.append((vi[u], vi[v], g.weight[(v, u)]))
-    return _materialize(verts, verts, triplets)
-
-
-def excess_matrix(g: WeightedGraph) -> LinearOperator:
-    """Diagonal operator with entry (count of unflagged departures) - 1."""
-    verts, _ = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    triplets = []
-    for x in verts:
-        q = sum(1 for y in g.neighbors(x) if (x, y) not in g.backtrack) - 1
-        triplets.append((vi[x], vi[x], float(q)))
-    return _materialize(verts, verts, triplets)
 
 
 def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:
@@ -164,10 +155,11 @@ def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:
 
     Order 0 is the identity and order 1 the adjacency operator.  Even order
     2k lands back at the start with weight W(x, x')^k (diagonal); odd order
-    2k+1 ends across the edge with weight W(x, x')^k w(x, x').  When
-    backtrack flags are present, order 2 admits only departures (x, x')
-    outside the flag set, and orders >= 3 require both orientations outside
-    it; this reproduces the flip-map factorization checked in the tests.
+    2k+1 ends across the edge with weight W(x, x')^k w(x, x').  Each turn
+    back must reverse an unflagged edge, so order 2 admits only departures
+    (x, x') outside the flag set and orders >= 3 need both orientations
+    outside it.  This closed form equals endpoint . flip^(n-1) . spread for
+    n >= 1, which the tests check.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -175,14 +167,10 @@ def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:
     vi = {x: i for i, x in enumerate(verts)}
     if n == 0:
         return _materialize(verts, verts, [(i, i, 1.0) for i in range(len(verts))])
-    if n == 1:
-        return adjacency_matrix(g)
     triplets = []
     for x in verts:
         for y in g.neighbors(x):
-            if (x, y) in g.backtrack:
-                continue
-            if n >= 3 and (y, x) in g.backtrack:
+            if n >= 2 and (x, y) in g.backtrack or n >= 3 and (y, x) in g.backtrack:
                 continue
             W = g.weight[(x, y)] * g.weight[(y, x)]
             if n % 2 == 0:

@@ -17,8 +17,6 @@ from .cycles import euler_product
 from .errors import ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import (
-    adjacency_matrix,
-    excess_matrix,
     incidence_maps,
     roundtrip_product,
     transfer_matrix,
@@ -85,17 +83,24 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
     return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": T.mat.shape[0]})
 
 
-def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
-    """Factorization route: det of the vertex-space series times the
-    roundtrip product over unoriented edges.  Empty backtrack set only.
+def _factorization(g: WeightedGraph, M: int, system=None) -> tuple[Series, int]:
+    """det of the vertex-space series times the roundtrip product, and the
+    vertex dimension.  Equals det(1 - uT) for every backtrack set.
 
     With a local system of dimension d the incidence maps are twisted and
     each roundtrip factor is raised to the power d."""
-    _require_no_flags(g, "sunada")
     ms = vertex_series(*incidence_maps(g, system), M)
     dim = 1 if system is None else system.dim
-    series = ms.det() * roundtrip_product(g, M, dim=dim)
-    return RouteResult("sunada", series.truncate(M), {"vertex_dimension": ms.dim})
+    return ms.det() * roundtrip_product(g, M, dim=dim), ms.dim
+
+
+def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
+    """Factorization route: det of the vertex-space series times the
+    roundtrip product over unoriented edges.  Empty backtrack set only; with
+    a local system the result is the reciprocal L-series."""
+    _require_no_flags(g, "sunada")
+    series, vertex_dim = _factorization(g, M, system)
+    return RouteResult("sunada", series.truncate(M), {"vertex_dimension": vertex_dim})
 
 
 def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
@@ -139,7 +144,7 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     if variant not in ("corrected", "as-printed"):
         raise ValueError(f"unknown variant {variant!r}")
     s_d, t_d, j_d = (op.dense() for op in incidence_maps(g))
-    A = adjacency_matrix(g).dense()
+    A = zigzag_matrix(g, 1).dense()
     nv, ne = A.shape[0], j_d.shape[0]
     k = 2 if variant == "corrected" else 1
     c1 = np.block([[-A, np.zeros((nv, ne))], [s_d, j_d]])
@@ -174,17 +179,16 @@ def backtrack_weight_constant(g: WeightedGraph, variant: str = "W") -> float:
 
 def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> RouteResult:
     """Product formula for graphs with backtrack flags:
-    det(vertex series) * prod over unflagged unoriented edges (1 - u^2 W)
-    * exp(-alpha u^2).  Exact for symmetric flag sets; for asymmetric ones
-    it is known to deviate from the Fredholm determinant and the result is
-    flagged, not fixed."""
+    det(vertex series) * prod over unoriented edges with no flagged
+    orientation (1 - u^2 W) * exp(-alpha u^2).
+
+    The first two factors are the factorization, which equals det(1 - uT)
+    for every flag set, so the route deviates from the Fredholm determinant
+    by exactly the factor exp(-alpha u^2).  Symmetric flag sets have
+    alpha = 0 and the route is exact; on one-sided flag sets the deviation
+    is flagged, not fixed."""
     alpha = backtrack_weight_constant(g, alpha_variant)
-    head = vertex_series(*incidence_maps(g), M).coeffs
-    # orders 1-2 are the zigzag walks, which filter only flagged departures
-    zigzag = [-zigzag_matrix(g, 1).dense(), zigzag_matrix(g, 2).dense()]
-    det = MatrixSeries([head[0], *zigzag, *head[3:]], M).det()
-    flagged = {frozenset(e) for e in g.backtrack}
-    series = det * roundtrip_product(g, M, skip=flagged)
+    series, _ = _factorization(g, M)
     if alpha != 0.0:
         series = series * Series([0.0, 0.0, -alpha], order=M).exp()
     return RouteResult(
@@ -204,8 +208,9 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     _require_no_flags(g, "classical")
     if not has_unit_weights(g):
         raise ValueError("classical route requires unit weights")
-    A = adjacency_matrix(g).dense()
-    det = MatrixSeries([np.eye(A.shape[0]), -A, excess_matrix(g).dense()], M).det()
+    A = zigzag_matrix(g, 1).dense()
+    Q = zigzag_matrix(g, 2).dense() - np.eye(A.shape[0])  # valency - 1
+    det = MatrixSeries([np.eye(A.shape[0]), -A, Q], M).det()
     chi = len(g.vertices) - len(g.edges)
     if chi == 1:  # a tree: (1 - u^2)^-1 = 1 + u^2 + u^4 + ...
         series = det * Series([1.0, 0.0] * (M // 2 + 1), order=M)
@@ -231,8 +236,8 @@ def cross_validate(
     Applicability: fredholm always; sunada and bass need no flags;
     classical additionally needs unit weights; the partial formula runs for
     symmetric flag sets, and for asymmetric ones only on request (it is
-    then marked experimental, since it provably deviates there).  tol must
-    be a finite number >= 0.
+    then marked experimental, since its exp(-alpha u^2) factor is not 1
+    there).  tol must be a finite number >= 0.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")

@@ -239,22 +239,26 @@ class MatrixSeries:
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
         where C_deg ends the stored head, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
-        of log det P = sum l_n u^n: about M*deg matrix products, keeping
-        the last deg terms of X.  _check_interpolation checks every order
-        where its measured cost is at most 2.5 times the recursion's: each
-        of its N = max(d deg, M) + 1 LUs costs about one product, building
-        each P(u_j) (deg + 1)/d of one, and below d = 16 a product costs as
-        much as at d = 16 (call overhead).  Elsewhere _check_point_value
-        sees only the lowest orders.  A mismatch raises ArithmeticError.
+        of log det P = sum l_n u^n: about m*deg matrix products, keeping
+        the last deg terms of X.  det P is a polynomial of degree at most
+        d*deg, so the recursion stops at m = min(M, d*deg) and the
+        coefficients above it are exact zeros.  _check_interpolation checks
+        every order where its measured cost is at most 2.5 times the
+        recursion's: each of its N = d deg + 1 LUs costs about one product,
+        building each P(u_j) (deg + 1)/d of one, and below d = 16 a product
+        costs as much as at d = 16 (call overhead).  Elsewhere
+        _check_point_value sees only the lowest orders.  A mismatch raises
+        ArithmeticError.
         """
-        d, m = self.dim, self.order
+        d = self.dim
         ident = np.eye(d, dtype=np.complex128)
         if np.max(np.abs(self.coeffs[0] - ident)) > 1e-12:
             raise ValueError("constant coefficient must be the identity")
         C = self.coeffs
         deg = len(C) - 1
         if deg == 0:
-            return Series.one(m)
+            return Series.one(self.order)
+        m = min(self.order, d * deg)
         p = np.zeros(m + 1, dtype=np.complex128)  # p_n = -n l_n
         X = [ident]  # X_k, X_{k-1}, ..., X_{k-deg+1}
         for k in range(m):
@@ -264,16 +268,17 @@ class MatrixSeries:
                 nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
                 X = [nxt] + X[: deg - 1]
         result = _newton(p)
-        n_pts = max(d * deg, m) + 1
+        n_pts = d * deg + 1
         products = sum(min(k + 1, deg) for k in range(m - 1))
         if n_pts * d * d * (d + deg + 1) <= 2.5 * products * (d**3 + 16**3):
             self._check_interpolation(result, deg, n_pts)
         else:
             self._check_point_value(result, deg)
-        return result
+        return result.truncate(self.order)
 
     def _check_interpolation(self, result: Series, deg: int, n_pts: int) -> None:
-        """Raise ArithmeticError unless result matches det P coefficient by coefficient.
+        """Raise ArithmeticError unless result matches det P coefficient by
+        coefficient up to its order M <= d*deg.
 
         det P has degree at most d*deg, so its values at the N = n_pts > d*deg
         points u_j = r exp(2 pi i j / N) determine it: their FFT is N c_n r^n,
@@ -286,7 +291,7 @@ class MatrixSeries:
         cancel further.
         """
         C = np.stack(self.coeffs[: deg + 1])
-        m = self.order
+        m = result.order
         radii = np.geomspace(0.1, 1.5, 64)
         rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
         hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)

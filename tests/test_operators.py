@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, random_unitary
 from zetagraph import fixtures
 from zetagraph.cycles import closed_sequences
 from zetagraph.graph import canonical_order, make_graph
 from zetagraph.series import fredholm_det, max_deviation
+from zetagraph.twist import make_local_system
 from zetagraph.operators import (
-    adjacency_matrix,
     anchored_path_matrix,
-    excess_matrix,
+    edge_operators,
     incidence_maps,
     reduced_path_matrices,
     reduced_path_matrix,
@@ -24,7 +24,7 @@ CAT = fixtures.catalogue()
 def test_bases_follow_canonical_order():
     g = CAT["k3"]
     verts, edges = canonical_order(g)
-    assert adjacency_matrix(g).rows == tuple(verts)
+    assert zigzag_matrix(g, 1).rows == tuple(verts)
     T = transfer_matrix(g)
     assert T.rows == tuple(edges)
     assert T.cols == tuple(edges)
@@ -40,22 +40,15 @@ def test_transfer_frozen_entries():
     assert np.trace(np.linalg.matrix_power(T3, 3)) == pytest.approx(6)
 
 
-def test_adjacency_and_excess_frozen():
-    assert np.array_equal(adjacency_matrix(CAT["edge"]).dense(), [[0, 3], [2, 0]])
-    assert np.array_equal(excess_matrix(CAT["edge"]).dense(), np.zeros((2, 2)))
-    assert np.array_equal(excess_matrix(CAT["k3"]).dense(), np.eye(3))
-    assert np.array_equal(excess_matrix(CAT["k4"]).dense(), 2 * np.eye(4))
-    # flagged departures do not count toward the excess
-    assert np.array_equal(excess_matrix(CAT["bt1"]).dense(), -np.eye(2))
-    assert np.array_equal(excess_matrix(CAT["bt2"]).dense(), np.diag([-1.0, 0.0]))
-
-
 def test_zigzag_frozen_values():
     assert np.array_equal(zigzag_matrix(CAT["k3"], 0).dense(), np.eye(3))
-    assert np.array_equal(
-        zigzag_matrix(CAT["k3"], 1).dense(), adjacency_matrix(CAT["k3"]).dense()
-    )
+    # order 1 is the adjacency operator, flags or not
+    assert np.array_equal(zigzag_matrix(CAT["edge"], 1).dense(), [[0, 3], [2, 0]])
+    assert np.array_equal(zigzag_matrix(CAT["k3"], 1).dense(), np.ones((3, 3)) - np.eye(3))
+    assert np.array_equal(zigzag_matrix(CAT["bt2"], 1).dense(), [[0, 3], [2, 0]])
+    # with unit weights and no flags order 2 is the valency
     assert np.array_equal(zigzag_matrix(CAT["k3"], 2).dense(), 2 * np.eye(3))
+    assert np.array_equal(zigzag_matrix(CAT["k4"], 2).dense(), 3 * np.eye(4))
     assert np.array_equal(zigzag_matrix(CAT["bt2"], 2).dense(), np.diag([0.0, 6.0]))
     shuttle = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     for n in (2, 4):
@@ -67,11 +60,7 @@ def test_zigzag_frozen_values():
 
 
 def test_zigzag_factors_through_incidence_maps(rng):
-    """B_n = endpoint . flip^(n-1) . spread for n >= 1.
-
-    Order 2 needs a symmetric flag set (the flip map zeroes both orientations
-    of a flagged pair while the order-2 walk only filters the departure);
-    orders 1 and >= 3 hold for every flag set."""
+    """B_n = endpoint . flip^(n-1) . spread for n >= 1 and every flag set."""
     graphs = list(CAT.values())
     graphs += [random_graph(rng, backtrack=mode) for mode in ("none", "symmetric", "any") for _ in range(8)]
     for g in graphs:
@@ -79,41 +68,38 @@ def test_zigzag_factors_through_incidence_maps(rng):
         power = np.eye(len(spread.rows))
         for n in range(1, 11):
             product = endpoint.dense() @ power @ spread.dense()
-            if n != 2 or symmetric_flags(g):
-                assert np.abs(zigzag_matrix(g, n).dense() - product).max() < 1e-12
+            assert np.abs(zigzag_matrix(g, n).dense() - product).max() < 1e-12
             power = flip.dense() @ power
 
 
-def symmetric_flags(g):
-    from zetagraph.graph import reverse
-
-    return all(reverse(e) in g.backtrack for e in g.backtrack)
-
-
-def test_zigzag_order2_differs_under_one_sided_flag():
+def test_zigzag_order2_factors_under_one_sided_flag():
+    # the flip zeroes only the flagged a->b, so b->a still shuttles back
     g = CAT["bt2"]
     spread, endpoint, flip = incidence_maps(g)
     product = endpoint.dense() @ flip.dense() @ spread.dense()
-    assert np.array_equal(product, np.zeros((2, 2)))
-    assert np.array_equal(zigzag_matrix(g, 2).dense(), np.diag([0.0, 6.0]))
+    assert np.array_equal(product, np.diag([0.0, 6.0]))
+    assert np.array_equal(zigzag_matrix(g, 2).dense(), product)
 
 
 def test_transfer_splits_into_incidence_maps(rng):
-    """T = spread . endpoint - flip whenever the flag set is symmetric."""
-    graphs = [g for g in CAT.values() if symmetric_flags(g)]
-    graphs += [random_graph(rng, backtrack=mode) for mode in ("none", "symmetric") for _ in range(8)]
+    """T = spread . endpoint - flip for every flag set, twisted or not."""
+    graphs = list(CAT.values())
+    graphs += [random_graph(rng, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(8)]
     for g in graphs:
-        spread, endpoint, flip = incidence_maps(g)
-        split = spread.dense() @ endpoint.dense() - flip.dense()
-        assert np.abs(transfer_matrix(g).dense() - split).max() < 1e-12
+        transfers = {(u, v): random_unitary(rng, 2) for u, v in g.edges}
+        for system in (None, make_local_system(g, 2, transfers)):
+            spread, endpoint, flip, T = edge_operators(g, system)
+            split = spread.dense() @ endpoint.dense() - flip.dense()
+            assert np.abs(T.dense() - split).max() < 1e-12
 
 
-def test_transfer_split_fails_one_sided():
+def test_transfer_split_holds_one_sided():
     g = CAT["bt2"]
     spread, endpoint, flip = incidence_maps(g)
     split = spread.dense() @ endpoint.dense() - flip.dense()
-    assert np.array_equal(split, [[0, 2], [3, 0]])
-    assert np.array_equal(transfer_matrix(g).dense(), [[0, 0], [3, 0]])
+    assert np.array_equal(split, [[0, 0], [3, 0]])
+    assert np.array_equal(transfer_matrix(g).dense(), split)
 
 
 def test_operator_product_checks_bases():
@@ -121,12 +107,12 @@ def test_operator_product_checks_bases():
     with pytest.raises(ValueError):
         spread @ spread
     prod = endpoint @ spread  # vertex -> vertex
-    assert prod.rows == adjacency_matrix(CAT["k3"]).rows
+    assert prod.rows == zigzag_matrix(CAT["k3"], 1).rows
 
 
 def test_reduced_path_frozen_values():
     assert np.array_equal(reduced_path_matrix(CAT["k3"], 2).dense(),
-                          adjacency_matrix(CAT["k3"]).dense())
+                          zigzag_matrix(CAT["k3"], 1).dense())
     assert np.array_equal(reduced_path_matrix(CAT["bt2"], 2).dense(), [[6, 0], [0, 0]])
     assert np.array_equal(reduced_path_matrix(CAT["bt2"], 3).dense(), np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -161,7 +147,7 @@ def test_anchored_frozen_values():
     assert np.array_equal(anchored_path_matrix(CAT["bt2"], 2, 1).dense(), [[36, 0], [0, 0]])
     # unit triangle: premium is 1, so C_{1,1} is just the adjacency operator
     assert np.array_equal(anchored_path_matrix(CAT["k3"], 1, 1).dense(),
-                          adjacency_matrix(CAT["k3"]).dense())
+                          zigzag_matrix(CAT["k3"], 1).dense())
     for bad in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ValueError):
             anchored_path_matrix(CAT["k3"], *bad)

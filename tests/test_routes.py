@@ -106,6 +106,23 @@ def test_partial_one_sided_deviation_is_pinned():
     assert res_sq.metadata["alpha"] == 4.5
 
 
+def test_partial_deviation_is_exactly_the_alpha_factor(rng):
+    """The factorization equals det(1 - uT) for every flag set, so on
+    one-sided flag sets the partial route is the Fredholm determinant times
+    exp(-alpha u^2) and nothing else."""
+    graphs = [CAT["bt2"]]
+    while len(graphs) < 16:
+        g = random_graph(rng, backtrack="any")
+        if not g.has_symmetric_backtrack():
+            graphs.append(g)
+    for g in graphs:
+        fred = zeta_fredholm(g, 10).series
+        for variant in ("W", "w-squared"):
+            res = zeta_partial_formula(g, 10, alpha_variant=variant)
+            factor = Series([0.0, 0.0, -res.metadata["alpha"]], order=10).exp()
+            assert max_deviation(res.series, fred * factor) < 1e-12, variant
+
+
 def test_classical_frozen_values():
     assert np.allclose(zeta_classical(CAT["k3"], 6).series.coefficients().real,
                        [1, 0, 0, -2, 0, 0, 1], atol=1e-12)
