@@ -40,15 +40,20 @@ def test_transfer_frozen_entries():
     assert np.trace(np.linalg.matrix_power(T3, 3)) == pytest.approx(6)
 
 
-def test_zigzag_frozen_values():
-    assert np.array_equal(zigzag_matrix(CAT["k3"], 0).dense(), np.eye(3))
-    # order 1 is the adjacency operator, flags or not
+def test_adjacency_and_excess_frozen():
+    # the adjacency operator is the order-1 zigzag, flags or not
     assert np.array_equal(zigzag_matrix(CAT["edge"], 1).dense(), [[0, 3], [2, 0]])
     assert np.array_equal(zigzag_matrix(CAT["k3"], 1).dense(), np.ones((3, 3)) - np.eye(3))
     assert np.array_equal(zigzag_matrix(CAT["bt2"], 1).dense(), [[0, 3], [2, 0]])
-    # with unit weights and no flags order 2 is the valency
+    # with unit weights and no flags order 2 is the valency, so the excess
+    # Q = valency - 1 of the classical route is B_2 - I
+    assert np.array_equal(zigzag_matrix(CAT["k3"], 2).dense() - np.eye(3), np.eye(3))
+    assert np.array_equal(zigzag_matrix(CAT["k4"], 2).dense() - np.eye(4), 2 * np.eye(4))
+
+
+def test_zigzag_frozen_values():
+    assert np.array_equal(zigzag_matrix(CAT["k3"], 0).dense(), np.eye(3))
     assert np.array_equal(zigzag_matrix(CAT["k3"], 2).dense(), 2 * np.eye(3))
-    assert np.array_equal(zigzag_matrix(CAT["k4"], 2).dense(), 3 * np.eye(4))
     assert np.array_equal(zigzag_matrix(CAT["bt2"], 2).dense(), np.diag([0.0, 6.0]))
     shuttle = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     for n in (2, 4):
