@@ -26,7 +26,6 @@ from .operators import (
     LinearOperator,
     anchored_path_matrix,
     incidence_maps,
-    reduced_path_matrix,
     transfer_matrix,
     zigzag_matrix,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "max_deviation",
     "parse_graph",
     "prime_cycles",
-    "reduced_path_matrix",
     "serialize_graph",
     "spectrum_poles",
     "sunada_point_value",

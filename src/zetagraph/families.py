@@ -68,6 +68,10 @@ def _ladder_block(r: float, K: int) -> WeightedGraph:
     return make_graph(vertices, edges)
 
 
+# name -> (block builder, weight of block 0)
+_FAMILIES = {"triangle-chain": (_triangle_chain_block, 8.0), "ladder": (_ladder_block, 6.0)}
+
+
 def make_source(name: str, r: float) -> GraphSource:
     """Built-in families.
 
@@ -80,23 +84,16 @@ def make_source(name: str, r: float) -> GraphSource:
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"decay parameter must lie in (0, 1), got {r}")
-    if name == "triangle-chain":
-        return GraphSource(
-            name,
-            {"r": r},
-            8.0 / (1.0 - r),
-            lambda K: _triangle_chain_block(r, K),
-            lambda K: 8.0 * r ** (K + 1) / (1.0 - r),
-        )
-    if name == "ladder":
-        return GraphSource(
-            name,
-            {"r": r},
-            6.0 / (1.0 - r),
-            lambda K: _ladder_block(r, K),
-            lambda K: 6.0 * r ** (K + 1) / (1.0 - r),
-        )
-    raise ValueError(f"unknown family {name!r}; built-ins: triangle-chain, ladder")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; built-ins: {', '.join(_FAMILIES)}")
+    builder, block_weight = _FAMILIES[name]
+    return GraphSource(
+        name,
+        {"r": r},
+        block_weight / (1.0 - r),
+        lambda K: builder(r, K),
+        lambda K: block_weight * r ** (K + 1) / (1.0 - r),
+    )
 
 
 def truncation_depth(source: GraphSource, epsilon: float) -> int:

@@ -1,12 +1,14 @@
 """Matrix operators on the vertex and oriented-edge spaces of a graph.
 
 Bases always follow :func:`zetagraph.graph.canonical_order`.  Every matrix
-is compressed sparse row; :func:`edge_operators` builds the four edge-space
-maps for the plain graph and, block by block, for a local system, so the
-untwisted operators are its trivial one-dimensional case.  The vertex-space
-factorization series and the roundtrip product built from them live here
-too; the determinant routes use them for the zeta function and, with a
-local system, for the L-function.
+is compressed sparse row.  :func:`incidence_maps` builds the three maps
+between vertex and edge space (spread, endpoint, flip) for the plain graph
+and, block by block, for a local system, so the untwisted maps are its
+trivial one-dimensional case; :func:`transfer_matrix` derives the transfer
+operator T from them.  The vertex-space factorization series built from
+these maps and the roundtrip product live here too; the determinant routes
+use them for the zeta function and, with a local system, for the
+L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -15,7 +17,7 @@ x to sum_x' w(x, x') x', so its matrix entry [x', x] is w(x, x'); it is
 W(e) = w(e) * w(e reversed).
 
 Backtrack flags. A flagged edge e may be followed by its reversal, so the
-flip sends e to zero: T = spread . endpoint - flip holds for every flag set.
+flip sends e to zero, and T = spread . endpoint - flip for every flag set.
 The flip is block diagonal over unoriented pairs, and det(1 - u flip) is the
 roundtrip product over the pairs with no flagged orientation.  Hence
 det(1 - uT) = det(vertex series) * roundtrip product for every flag set
@@ -72,18 +74,15 @@ def _materialize(rows, cols, triplets, d: int = 1, dtype=np.float64) -> LinearOp
     return LinearOperator(tuple(rows), tuple(cols), mat)
 
 
-def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
-    """Spread, endpoint, flip and the transfer operator T, optionally twisted.
+def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
+    """Spread, endpoint and flip: the maps linking vertex and edge space,
+    optionally twisted.
 
     spread: vertex -> weighted sum of its outgoing oriented edges.
     endpoint: oriented edge -> its target vertex, through the edge's transport.
     flip: oriented edge -> its reversal, scaled by the reversal's weight and
           the edge's transport; zero at an edge that carries the backtrack
           flag, whatever the flag of its reversal.
-    T: column e holds w(e') U_e at row e' for every continuation e' with
-       o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries
-       the backtrack flag.  This is the weighted non-backtracking (Hashimoto)
-       operator, and T = spread . endpoint - flip.
 
     Without a system every transport is the scalar 1.  With one of dimension
     d, each vertex and edge carries a fiber C^d, edge fibers trivialized at
@@ -97,35 +96,33 @@ def edge_operators(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     verts, edges = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     ei = {e: i for i, e in enumerate(edges)}
-    spread, endpoint, flip, T = [], [], [], []
+    spread, endpoint, flip = [], [], []
     for e in edges:
         U = transport(e)
         spread.append((ei[e], vi[e[0]], g.weight[e] * one))
         endpoint.append((vi[e[1]], ei[e], U))
         if e not in g.backtrack:
             flip.append((ei[reverse(e)], ei[e], g.weight[reverse(e)] * U))
-        for e2 in g.out_edges[e[1]]:
-            if e2 == reverse(e) and e not in g.backtrack:
-                continue
-            T.append((ei[e2], ei[e], g.weight[e2] * U))
     return (
         _materialize(edges, verts, spread, d, dtype),
         _materialize(verts, edges, endpoint, d, dtype),
         _materialize(edges, edges, flip, d, dtype),
-        _materialize(edges, edges, T, d, dtype),
     )
 
 
 def transfer_matrix(g: WeightedGraph, system=None) -> LinearOperator:
-    """Weighted non-backtracking (Hashimoto) operator on oriented edges,
-    twisted by a local system if one is given."""
-    return edge_operators(g, system)[3]
+    """Weighted non-backtracking (Hashimoto) operator T on oriented edges,
+    twisted by a local system if one is given.
 
-
-def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
-    """The three maps linking vertex and edge space: spread, endpoint, flip,
-    twisted by a local system if one is given."""
-    return edge_operators(g, system)[:3]
+    Column e holds w(e') U_e at row e' for every continuation e' with
+    o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries the
+    backtrack flag.  Built as T = spread . endpoint - flip: the product puts
+    w(e') U_e at every continuation, reversal included, and the flip removes
+    the reversal exactly where it is not allowed.
+    """
+    spread, endpoint, flip = incidence_maps(g, system)
+    T = (spread @ endpoint).mat - flip.mat
+    return LinearOperator(flip.rows, flip.cols, T)
 
 
 def vertex_series(
@@ -206,19 +203,21 @@ def reduced_path_matrices(g: WeightedGraph, m: int) -> list[LinearOperator]:
     return A
 
 
-def reduced_path_matrix(g: WeightedGraph, m: int) -> LinearOperator:
-    return reduced_path_matrices(g, m)[m]
-
-
-def reduced_path_matrix_direct(g: WeightedGraph, m: int) -> LinearOperator:
-    """Enumeration twin of reduced_path_matrix; exponential, test use only."""
+def _endpoint_sums(g: WeightedGraph, m: int, premium) -> LinearOperator:
+    """Sum premium(walk) * w(walk) over reduced walks of length m, placed at
+    [end, start]; exponential, test use only."""
     verts, _ = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     mat = np.zeros((len(verts), len(verts)))
     for walk, wgt in reduced_walks(g, m):
         if len(walk) == m + 1:
-            mat[vi[walk[-1]], vi[walk[0]]] += wgt
+            mat[vi[walk[-1]], vi[walk[0]]] += premium(walk) * wgt
     return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))
+
+
+def reduced_path_matrix_direct(g: WeightedGraph, m: int) -> LinearOperator:
+    """Enumeration twin of ``reduced_path_matrices(g, m)[m]``."""
+    return _endpoint_sums(g, m, lambda walk: 1.0)
 
 
 def anchored_path_matrix(g: WeightedGraph, m: int, n: int) -> LinearOperator:
@@ -227,11 +226,5 @@ def anchored_path_matrix(g: WeightedGraph, m: int, n: int) -> LinearOperator:
     W(x, x_1)^n w(p) at its endpoint.  Built by direct enumeration."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    verts, _ = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    mat = np.zeros((len(verts), len(verts)))
-    for walk, wgt in reduced_walks(g, m):
-        if len(walk) == m + 1:
-            W = g.weight[(walk[0], walk[1])] * g.weight[(walk[1], walk[0])]
-            mat[vi[walk[-1]], vi[walk[0]]] += W ** n * wgt
-    return LinearOperator(tuple(verts), tuple(verts), sp.csr_matrix(mat))
+    return _endpoint_sums(
+        g, m, lambda walk: (g.weight[(walk[0], walk[1])] * g.weight[(walk[1], walk[0])]) ** n)

@@ -278,15 +278,19 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
         raise ResourceCapError(
             f"edge dimension {len(T.rows)} exceeds pole cap {POLE_DIMENSION_CAP}"
         )
-    eig = np.linalg.eigvals(T.dense())
+    dense = T.dense()
+    # thresholds are relative to ||T||_1, so scaling every weight by c scales
+    # every pole by 1/c and leaves the multiplicities alone
+    scale = np.abs(dense).sum(axis=0).max(initial=0.0)
+    eig = np.linalg.eigvals(dense)
     # rounding keeps equal-modulus poles adjacent despite float noise
     poles = sorted(
-        (1.0 / lam for lam in eig if abs(lam) > 1e-12),
-        key=lambda p: (round(abs(p), 9), round(float(np.angle(p)), 9)),
+        (1.0 / lam for lam in eig if abs(lam) > 1e-12 * scale),
+        key=lambda p: (round(abs(p) * scale, 9), round(float(np.angle(p)), 9)),
     )
     clustered: list[tuple[complex, int]] = []
     for p in poles:
-        if clustered and abs(p - clustered[-1][0]) <= 1e-8 * max(1.0, abs(clustered[-1][0])):
+        if clustered and abs(p - clustered[-1][0]) <= 1e-8 * abs(clustered[-1][0]):
             clustered[-1] = (clustered[-1][0], clustered[-1][1] + 1)
         else:
             clustered.append((p, 1))

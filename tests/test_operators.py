@@ -9,10 +9,8 @@ from zetagraph.series import fredholm_det, max_deviation
 from zetagraph.twist import make_local_system
 from zetagraph.operators import (
     anchored_path_matrix,
-    edge_operators,
     incidence_maps,
     reduced_path_matrices,
-    reduced_path_matrix,
     reduced_path_matrix_direct,
     transfer_matrix,
     zigzag_matrix,
@@ -94,9 +92,21 @@ def test_transfer_splits_into_incidence_maps(rng):
     for g in graphs:
         transfers = {(u, v): random_unitary(rng, 2) for u, v in g.edges}
         for system in (None, make_local_system(g, 2, transfers)):
-            spread, endpoint, flip, T = edge_operators(g, system)
+            spread, endpoint, flip = incidence_maps(g, system)
+            T = transfer_matrix(g, system)
             split = spread.dense() @ endpoint.dense() - flip.dense()
             assert np.abs(T.dense() - split).max() < 1e-12
+
+
+def test_transfer_is_canonical_csr(rng):
+    """fredholm_det sums each row in stored order: sorted, no duplicates."""
+    graphs = list(CAT.values())
+    graphs += [random_graph(rng, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(8)]
+    for g in graphs:
+        transfers = {(u, v): random_unitary(rng, 2) for u, v in g.edges}
+        for system in (None, make_local_system(g, 2, transfers)):
+            assert transfer_matrix(g, system).mat.has_canonical_format
 
 
 def test_transfer_split_holds_one_sided():
@@ -116,10 +126,10 @@ def test_operator_product_checks_bases():
 
 
 def test_reduced_path_frozen_values():
-    assert np.array_equal(reduced_path_matrix(CAT["k3"], 2).dense(),
+    assert np.array_equal(reduced_path_matrices(CAT["k3"], 2)[2].dense(),
                           zigzag_matrix(CAT["k3"], 1).dense())
-    assert np.array_equal(reduced_path_matrix(CAT["bt2"], 2).dense(), [[6, 0], [0, 0]])
-    assert np.array_equal(reduced_path_matrix(CAT["bt2"], 3).dense(), np.zeros((2, 2)))
+    assert np.array_equal(reduced_path_matrices(CAT["bt2"], 2)[2].dense(), [[6, 0], [0, 0]])
+    assert np.array_equal(reduced_path_matrices(CAT["bt2"], 3)[3].dense(), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         reduced_path_matrices(CAT["k3"], -1)
 

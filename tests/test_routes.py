@@ -283,6 +283,21 @@ def test_spectrum_poles_frozen():
     assert lines[1].endswith(",0.0,1")
 
 
+def test_spectrum_poles_scale_with_the_weights():
+    """Scaling every weight by c scales every pole by 1/c and keeps the
+    multiplicities, whatever the size of c."""
+    for name in ("wt3", "k3"):
+        g = CAT[name]
+        base = spectrum_poles(g)
+        for c in (1e-13, 1e-11, 1e9, 1e12):
+            scaled = make_graph(g.vertices, [(u, v, c * g.weight[(u, v)], c * g.weight[(v, u)])
+                                             for u, v in g.edges])
+            poles = spectrum_poles(scaled)
+            assert [m for _, m in poles] == [m for _, m in base], (name, c)
+            for (p, _), (q, _) in zip(poles, base):
+                assert abs(p * c - q) <= 1e-12 * abs(q), (name, c)
+
+
 def test_spectrum_pole_cap():
     n = 1100
     verts = [f"v{i:04d}" for i in range(n)]

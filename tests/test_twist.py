@@ -5,7 +5,7 @@ from conftest import random_graph, random_unitary
 from zetagraph import fixtures
 from zetagraph.cycles import holonomy as transport_product, prime_cycles
 from zetagraph.errors import GraphFormatError, GraphValidationError
-from zetagraph.operators import edge_operators, incidence_maps, transfer_matrix
+from zetagraph.operators import incidence_maps, transfer_matrix
 from zetagraph.routes import zeta_fredholm, zeta_sunada
 from zetagraph.series import fredholm_det, max_deviation
 from zetagraph.twist import (
@@ -40,7 +40,9 @@ def test_trivial_system_reduces_to_zeta():
 
 def test_trivial_operators_match_untwisted_entrywise():
     for name, g in CAT.items():
-        sigma, tau, flip, T = edge_operators(g, trivial_system(g))
+        system = trivial_system(g)
+        sigma, tau, flip = incidence_maps(g, system)
+        T = transfer_matrix(g, system)
         s0, t0, j0 = incidence_maps(g)
         assert np.allclose(sigma.dense(), s0.dense()), name
         assert np.allclose(tau.dense(), t0.dense()), name
@@ -118,7 +120,7 @@ def test_twisted_flip_determinant_is_roundtrip_product(rng):
     g = random_graph(rng, max_vertices=5)
     dim = 2
     system = random_system(g, rng, dim)
-    _, _, flip, _ = edge_operators(g, system)
+    _, _, flip = incidence_maps(g, system)
     lhs = fredholm_det(flip, 8)
     rhs = np.zeros(9, dtype=complex)
     rhs[0] = 1.0
