@@ -8,17 +8,23 @@ carries the backtrack flag.  Two depth-first generators walk the graph
 under that rule and nothing else does:
 
 - _closed_walks yields the admissible closed edge sequences rooted at
-  each edge, through every edge (closed_sequences) or only through edges
-  no smaller than the root (prime_cycles, and through it euler_product);
+  each edge: all of them (closed_sequences), or only the necklaces, the
+  sequences that are their own least rotation (prime_cycles, and through
+  it euler_product);
 - reduced_walks yields the vertex walks whose steps obey the rule; one
   traversal fills both vertex-path counting modes of compute_Nm, kept only
   as diagnostics (see tail_mode_report), and it feeds the direct path-sum
   operators in operators.py.
 
 Oriented edges compare as (origin, target) tuples, the canonical order of
-graph.canonical_order.  prime_cycles keeps each rotation class once, as the
-pruned walk that is its own least rotation (a Lyndon word or a power of
-one; see _least_period).
+graph.canonical_order.  _closed_walks walks integer edge indices in that
+order and enters only branches that can still yield: a backward
+breadth-first search from each root gives the fewest edges before a walk
+can close, and a branch that cannot close within the bound is never
+pushed.  In necklace mode it extends only prenecklaces, by the
+Fredricksen-Kessler-Maiorana rule (Cattell et al., J. Algorithms 2000), so
+each rotation class is met once, rooted at its least rotation, with its
+least period known from the walk itself.
 
 Both generators are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -48,25 +54,72 @@ def _step_ok(g: WeightedGraph, e: OrientedEdge, e2: OrientedEdge) -> bool:
     return e2[0] == e[1] and (e2 != reverse(e) or e in g.backtrack)
 
 
-def _closed_walks(g: WeightedGraph, L: int, pruned: bool):
-    """Yield (sequence, weight) for every admissible closed edge sequence of
-    length 1..L, depth first from each root edge in canonical order.
+def _return_distances(pred: list[list[int]], s: int, lo: int, L: int) -> list[int]:
+    """dist[i]: the fewest edges >= lo that can follow edge i before the walk
+    steps back onto s, by breadth-first search backwards from s; L where
+    that takes L or more."""
+    dist = [L] * len(pred)
+    frontier = [i for i in pred[s] if i >= lo]
+    for i in frontier:
+        dist[i] = 0
+    for d in range(1, L):
+        reached = []
+        for j in frontier:
+            for i in pred[j]:
+                if i >= lo and dist[i] == L:
+                    dist[i] = d
+                    reached.append(i)
+        frontier = reached
+    return dist
 
-    pruned keeps only continuations no smaller than the root edge: every
-    rotation class still appears, rooted at its least edge.
+
+def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
+    """Yield (sequence, weight, period) for every admissible closed edge
+    sequence of length 1..L, depth first from each root edge in canonical
+    order; the weight is the in-order product of the edge weights.
+
+    Edges are indices in canonical order with successor lists built once
+    from _step_ok.  For each root s a backward breadth-first search over
+    predecessors gives dist[i], the fewest further edges before a walk
+    ending at edge i can step back onto s (0 where it closes now); a
+    continuation is pushed only when its length plus dist stays within L,
+    and a root that cannot return within L is skipped.
+
+    necklaces keeps only sequences that are their own least rotation, so
+    every rotation class appears once, rooted at its least edge.  The walk
+    then stays on edges >= s (the search too) and extends only
+    prenecklaces: with p the length of the longest Lyndon prefix of a walk
+    of length n, edge j may follow only if j >= seq[n - p]; p stays when
+    j = seq[n - p] and becomes n + 1 otherwise.  A closed prenecklace is a
+    necklace exactly when p divides n, and p is then its least period.
+    Without necklaces every closed sequence is yielded and period is its
+    length.
     """
     _check_length(L)
-    for start in canonical_order(g)[1]:
-        stack = [(start, (start,), g.weight[start])]
+    edges = canonical_order(g)[1]
+    index = {e: i for i, e in enumerate(edges)}
+    weight = [g.weight[e] for e in edges]
+    succ = [[index[e2] for e2 in g.out_edges[e[1]] if _step_ok(g, e, e2)] for e in edges]
+    pred = [[] for _ in edges]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    for s in range(len(edges)):
+        dist = _return_distances(pred, s, s if necklaces else 0, L)
+        if dist[s] >= L:
+            continue
+        stack = [((s,), weight[s], 1)]
         while stack:
-            e, seq, wgt = stack.pop()
-            if _step_ok(g, e, start):
-                yield seq, wgt
-            if len(seq) >= L:
+            seq, wgt, p = stack.pop()
+            n = len(seq)
+            if not dist[seq[-1]] and not n % p:
+                yield tuple(map(edges.__getitem__, seq)), wgt, p
+            if n >= L:
                 continue
-            for e2 in g.out_edges[e[1]]:
-                if (e2 >= start or not pruned) and _step_ok(g, e, e2):
-                    stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
+            b = seq[n - p] if necklaces else -1
+            for j in succ[seq[-1]]:
+                if j >= b and n + 1 + dist[j] <= L:
+                    stack.append((seq + (j,), wgt * weight[j], p if j == b else n + 1))
 
 
 def reduced_walks(g: WeightedGraph, L: int):
@@ -98,7 +151,7 @@ def closed_sequences(
     appear as distinct rooted sequences.
     """
     out: dict[int, list] = {n: [] for n in range(1, L + 1)}
-    for seq, wgt in _closed_walks(g, L, pruned=False):
+    for seq, wgt, _ in _closed_walks(g, L, necklaces=False):
         out[len(seq)].append((seq, wgt))
     for n in out:
         out[n].sort(key=lambda item: item[0])
@@ -161,25 +214,12 @@ class CycleRecord:
     holonomy: np.ndarray | None = None
 
 
-def _least_period(seq: tuple) -> int:
-    """The smallest period of seq if no rotation of it is smaller, else 0."""
-    for r in range(1, len(seq) + 1):
-        rot = seq[r:] + seq[:r]
-        if rot < seq:
-            return 0
-        if rot == seq:
-            return r
-
-
 def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
     records = []
-    for seq, wgt in _closed_walks(g, L, pruned=True):
-        period = _least_period(seq)
-        if not period:
-            continue
+    for seq, wgt, period in _closed_walks(g, L, necklaces=True):
         records.append(
             CycleRecord(
                 edges=seq,

@@ -61,8 +61,8 @@ class LinearOperator:
 def _materialize(rows, cols, triplets, d: int = 1, dtype=np.float64) -> LinearOperator:
     """CSR operator from (row_index, col_index, block) triples.
 
-    Blocks are scalars when d = 1 and d x d arrays otherwise; repeated
-    positions are summed."""
+    Blocks are scalars when d = 1 and d x d arrays otherwise; zero entries
+    of a block are not stored, and repeated positions are summed."""
     ii = np.array([t[0] for t in triplets], dtype=np.int64)
     jj = np.array([t[1] for t in triplets], dtype=np.int64)
     blocks = np.array([t[2] for t in triplets], dtype=dtype).reshape(len(triplets), d, d)
@@ -70,7 +70,8 @@ def _materialize(rows, cols, triplets, d: int = 1, dtype=np.float64) -> LinearOp
     r = np.broadcast_to(ii[:, None, None] * d + offsets[None, :, None], blocks.shape)
     c = np.broadcast_to(jj[:, None, None] * d + offsets[None, None, :], blocks.shape)
     shape = (len(rows) * d, len(cols) * d)
-    mat = sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
+    keep = blocks != 0
+    mat = sp.csr_matrix((blocks[keep], (r[keep], c[keep])), shape=shape)
     return LinearOperator(tuple(rows), tuple(cols), mat)
 
 

@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_graph
-from zetagraph import fixtures
+from conftest import random_graph, random_unitary
+from zetagraph import cycles, fixtures
 from zetagraph.cycles import (
+    CycleRecord,
     closed_sequences,
     compute_Nm,
     edge_sequence_label,
     euler_product,
+    holonomy,
     prime_cycles,
     tail_mode_report,
 )
 from zetagraph.errors import ResourceCapError
-from zetagraph.graph import canonical_order
+from zetagraph.graph import canonical_order, make_graph, reverse
 from zetagraph.operators import reduced_path_matrix_direct, transfer_matrix
 from zetagraph.series import fredholm_det, max_deviation
+from zetagraph.twist import make_local_system
 
 CAT = fixtures.catalogue()
 
@@ -177,3 +180,88 @@ def test_pruned_enumeration_meets_every_class(rng):
         # each class exactly once, sorted by (length, edges)
         assert len(recs) == len(rotations)
         assert [(r.length, r.edges) for r in recs] == sorted((r.length, r.edges) for r in recs)
+
+
+def _reference_walks(g, L):
+    """Every admissible closed edge sequence of length 1..L with its in-order
+    weight product, by the plain depth-first search that pushes every
+    admissible continuation; independent of the pruned generator."""
+    def step_ok(e, e2):
+        return e2[0] == e[1] and (e2 != reverse(e) or e in g.backtrack)
+
+    for start in canonical_order(g)[1]:
+        stack = [(start, (start,), g.weight[start])]
+        while stack:
+            e, seq, wgt = stack.pop()
+            if step_ok(e, start):
+                yield seq, wgt
+            if len(seq) < L:
+                for e2 in g.out_edges[e[1]]:
+                    if step_ok(e, e2):
+                        stack.append((e2, seq + (e2,), wgt * g.weight[e2]))
+
+
+def _reference_least_period(seq):
+    """The smallest period of seq if no rotation of it is smaller, else 0."""
+    for r in range(1, len(seq) + 1):
+        rot = seq[r:] + seq[:r]
+        if rot < seq:
+            return 0
+        if rot == seq:
+            return r
+
+
+def _reference_prime_cycles(g, L, system=None):
+    records = []
+    for seq, wgt in _reference_walks(g, L):
+        period = _reference_least_period(seq)
+        if period:
+            records.append(CycleRecord(seq, len(seq), float(wgt), period, period == len(seq),
+                                       holonomy(system, seq) if system else None))
+    return sorted(records, key=lambda r: (r.length, r.edges))
+
+
+def _pendant_chains():
+    """A triangle with two pendant chains of five edges.  Walks turn back
+    only where a flag lets them: on p1-p2 (both ways) and q0->q1.  Chain
+    excursions of 6 and 4 edges close with the triangle at lengths 9 and 7,
+    the flagged pair shuttles at even lengths, and every walk further down
+    a chain is a dead branch."""
+    edges = [("a", "b"), ("b", "c"), ("a", "c")]
+    for root, name in (("a", "p"), ("b", "q")):
+        chain = [root] + [f"{name}{i}" for i in range(5)]
+        edges += list(zip(chain, chain[1:]))
+    vertices = sorted({x for e in edges for x in e})
+    weighted = [(u, v, 0.3 + 0.01 * i, 0.7 - 0.01 * i) for i, (u, v) in enumerate(edges)]
+    return make_graph(vertices, weighted, backtrack=[("p1", "p2"), ("p2", "p1"), ("q0", "q1")])
+
+
+def _record_key(r):
+    return r.edges, r.length, r.weight.hex(), r.primitive_length, r.is_prime
+
+
+def test_enumeration_matches_unpruned_reference(rng, monkeypatch):
+    """prime_cycles, closed_sequences and euler_product equal a plain
+    unpruned search with an explicit rotation test, bit for bit, at every
+    length bound: the distance cut and the prenecklace rule drop no walk
+    that could still close and keep no rotation twice."""
+    graphs = list(CAT.values()) + [_pendant_chains()]
+    graphs += [random_graph(rng, max_vertices=6, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(4)]
+    for g in graphs:
+        system = make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})
+        walks = list(_reference_walks(g, 10))
+        reference = _reference_prime_cycles(g, 10, system)
+        for L in range(11):
+            recs = prime_cycles(g, L, system=system)
+            expected = [r for r in reference if r.length <= L]
+            assert [_record_key(r) for r in recs] == [_record_key(r) for r in expected]
+            assert all(np.array_equal(r.holonomy, x.holonomy) for r, x in zip(recs, expected))
+            seqs = {n: sorted((s, w) for s, w in walks if len(s) == n) for n in range(1, L + 1)}
+            assert closed_sequences(g, L) == seqs
+        for L in (0, 4, 10):
+            for sys_ in (None, system):
+                fresh = euler_product(g, L, system=sys_).c
+                with monkeypatch.context() as m:
+                    m.setattr(cycles, "prime_cycles", _reference_prime_cycles)
+                    assert euler_product(g, L, system=sys_).c.tobytes() == fresh.tobytes()

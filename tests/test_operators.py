@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_graph, random_unitary
-from zetagraph import fixtures
+from zetagraph import fixtures, operators
 from zetagraph.cycles import closed_sequences
 from zetagraph.graph import canonical_order, make_graph
+from zetagraph.routes import ROUTE_BUILDERS
 from zetagraph.series import fredholm_det, max_deviation
-from zetagraph.twist import make_local_system
+from zetagraph.twist import lfunction, make_local_system, trivial_system
 from zetagraph.operators import (
     anchored_path_matrix,
     incidence_maps,
@@ -107,6 +109,55 @@ def test_transfer_is_canonical_csr(rng):
         transfers = {(u, v): random_unitary(rng, 2) for u, v in g.edges}
         for system in (None, make_local_system(g, 2, transfers)):
             assert transfer_matrix(g, system).mat.has_canonical_format
+
+
+def _materialize_every_entry(rows, cols, triplets, d=1, dtype=np.float64):
+    """The block builder as it was when it stored every entry, zeros included."""
+    ii = np.array([t[0] for t in triplets], dtype=np.int64)
+    jj = np.array([t[1] for t in triplets], dtype=np.int64)
+    blocks = np.array([t[2] for t in triplets], dtype=dtype).reshape(len(triplets), d, d)
+    offsets = np.arange(d)
+    r = np.broadcast_to(ii[:, None, None] * d + offsets[None, :, None], blocks.shape)
+    c = np.broadcast_to(jj[:, None, None] * d + offsets[None, None, :], blocks.shape)
+    mat = sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=(len(rows) * d, len(cols) * d))
+    return operators.LinearOperator(tuple(rows), tuple(cols), mat)
+
+
+def test_incidence_maps_store_no_zeros(rng, monkeypatch):
+    """Each d x d block stores only its nonzero entries: on K4 with the trivial
+    2-dim system every map holds 24 of its 48 block entries, and neither the
+    dense maps nor any route output depends on the zeros left out."""
+    g = CAT["k4"]
+    for twisted, plain in zip(incidence_maps(g, trivial_system(g, 2)), incidence_maps(g)):
+        assert twisted.mat.nnz == twisted.mat.count_nonzero() == 24
+        assert np.array_equal(twisted.dense(), np.kron(plain.dense(), np.eye(2)))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = [(g, trivial_system(g, 2))]
+    for mode in ("none", "symmetric"):
+        h = random_graph(rng, backtrack=mode)
+        cases.append((h, make_local_system(h, 2, {e: swap for e in h.edges[::2]})))
+        cases.append((h, make_local_system(h, 2, {e: random_unitary(rng, 2) for e in h.edges})))
+
+    def outputs():
+        out = []
+        for h, system in cases:
+            out += [m.dense() for m in incidence_maps(h, system)]
+            out.append(transfer_matrix(h, system).dense())
+            out.append(lfunction(h, system, 12, route="fredholm").c)
+            if not h.backtrack:
+                out.append(lfunction(h, system, 12, route="determinant").c)
+            for name, route in ROUTE_BUILDERS.items():
+                try:
+                    out.append(route(h, 12).series.c)
+                except ValueError:  # flags or weights outside the route's domain
+                    pass
+        return out
+
+    fresh = outputs()
+    monkeypatch.setattr(operators, "_materialize", _materialize_every_entry)
+    stored = outputs()
+    assert len(fresh) == len(stored)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(fresh, stored))
 
 
 def test_transfer_split_holds_one_sided():
