@@ -9,12 +9,14 @@ sparse polynomial factors such as 1 - w u^l, one in-place update each, for
 the Euler, roundtrip and (1 - u^2)^-chi products.
 
 Two determinants and Series.exp turn power sums into coefficients by the
-same Newton recursion.  fredholm_det expands det(1 - u*T) from the
-power traces tr T^j, multiplying T (sparse or dense) into a dense power so a
-single code path serves every matrix representation.  MatrixSeries.det
-takes the determinant of a matrix-valued series P = sum C_k u^k with C_0 = I
-by Jacobi's formula (log det P)' = tr(P^-1 P') and checks the result against
-det P itself, raising instead of returning a series it cannot certify.
+same Newton recursion.  fredholm_det expands det(1 - u*T) from the power
+traces tr T^j, multiplying T (sparse or dense) into blocks of TRACE_BLOCK
+identity columns, so a single code path serves every matrix representation
+in O(n * TRACE_BLOCK) memory, and a sparse T gives the very bits of dense
+n x n powers.  MatrixSeries.det takes the determinant of a matrix-valued
+series P = sum C_k u^k with C_0 = I by Jacobi's formula
+(log det P)' = tr(P^-1 P') and checks the result against det P itself,
+raising instead of returning a series it cannot certify.
 """
 
 from __future__ import annotations
@@ -165,6 +167,10 @@ def times_sparse(series: Series, factors) -> Series:
 # determinants
 
 
+# identity columns per block of the power traces in fredholm_det
+TRACE_BLOCK = 64
+
+
 def fredholm_det(mat, order: int) -> Series:
     """det(1 - u*mat) to the given order, from power traces.
 
@@ -173,14 +179,34 @@ def fredholm_det(mat, order: int) -> Series:
     log det(1 - u*mat) = -sum_j u^j tr(mat^j) / j.  The determinant is a
     polynomial of degree at most dim mat, so the traces stop there and the
     coefficients above it are exact zeros.
+
+    The powers are taken TRACE_BLOCK identity columns at a time: each block
+    is multiplied by mat up to m = min(order, n) times and leaves its
+    diagonal entries in an (m+1) x n array, whose rows sum to the traces.
+    The working set is O(n * TRACE_BLOCK) instead of dense n x n powers.  A
+    sparse (CSR) product computes each column row by row in stored order,
+    whatever the block width, so the traces are the bits of the full dense
+    powers; the diagonal keeps the power's dtype, as a complex sum of real
+    entries would group its terms differently.  A dense ndarray wider than
+    one block goes through BLAS block by block, which may move the last bits
+    (a few 1e-15 relative); only tests and the d x d holonomies of
+    cycles.euler_product pass ndarrays.
     """
     if hasattr(mat, "mat"):
         mat = mat.mat
-    p = np.zeros(min(order, mat.shape[0]) + 1, dtype=np.complex128)
-    power = np.eye(mat.shape[0])
-    for j in range(1, len(p)):
-        power = mat @ power
-        p[j] = np.trace(power)
+    n = mat.shape[0]
+    m = min(order, n)
+    diag = np.zeros((m + 1, n), dtype=np.result_type(mat.dtype, np.float64))
+    for start in range(0, n, TRACE_BLOCK):
+        block = slice(start, min(start + TRACE_BLOCK, n))
+        power = np.zeros((n, block.stop - start))
+        np.fill_diagonal(power[block], 1.0)
+        for j in range(1, m + 1):
+            power = mat @ power
+            diag[j, block] = power[block].diagonal()
+    p = np.zeros(m + 1, dtype=np.complex128)
+    for j in range(1, m + 1):
+        p[j] = diag[j].sum()
     return _newton(p).truncate(order)
 
 

@@ -11,13 +11,15 @@ import pytest
 from zetagraph.graph import make_graph, validate
 
 
-def random_graph(rng, max_vertices=7, extra_edges=None, backtrack="none"):
+def random_graph(rng, max_vertices=7, extra_edges=None, backtrack="none", n_vertices=None):
     """Connected weighted graph: spanning tree plus 0..2 extra edges.
 
     backtrack: "none", "symmetric" (flags closed under reversal), or
-    "any" (independent per orientation; may be asymmetric).
+    "any" (independent per orientation; may be asymmetric).  n_vertices
+    fixes the vertex count instead of drawing it up to max_vertices, so
+    with extra_edges it fixes the edge count.
     """
-    nv = int(rng.integers(2, max_vertices + 1))
+    nv = int(rng.integers(2, max_vertices + 1)) if n_vertices is None else n_vertices
     names = [f"v{i}" for i in range(nv)]
     pairs = set()
     for i in range(1, nv):

@@ -4,7 +4,7 @@ import pytest
 
 from zetagraph import fixtures
 from zetagraph.cli import main
-from zetagraph.graph import parse_graph, serialize_graph
+from zetagraph.graph import make_graph, parse_graph, serialize_graph
 from zetagraph.twist import local_system_block, make_local_system
 
 
@@ -45,6 +45,15 @@ def test_coeffs_default_route_handles_flags(gfile, capsys):
     code, out, _ = run(capsys, ["coeffs", gfile("bt1"), "--order", "4"])
     assert code == 0
     assert out[1:] == ["0,1.0,0.0", "1,0.0,0.0", "2,-6.0,0.0", "3,0.0,0.0", "4,0.0,0.0"]
+
+
+def test_coeffs_fredholm_on_one_vertex(gfile, capsys):
+    """No edges: T has dimension 0 and the series is exactly 1."""
+    text = serialize_graph(make_graph(["a"], [])) + "\n"
+    code, out, err = run(capsys, ["coeffs", gfile("one", text), "--route", "fredholm",
+                                  "--order", "12"])
+    assert code == 0 and err == ""
+    assert out == ["n,re,im", "0,1.0,0.0"] + [f"{n},0.0,0.0" for n in range(1, 13)]
 
 
 def test_coeffs_variant_rules(gfile, capsys):

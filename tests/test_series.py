@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import complete_graph
+from conftest import complete_graph, random_graph, random_unitary
 from zetagraph import fixtures, series
+from zetagraph.graph import make_graph
 from zetagraph.operators import incidence_maps, transfer_matrix, zigzag_matrix
+from zetagraph.twist import make_local_system
 from zetagraph.series import (
     MatrixSeries,
     Series,
@@ -229,6 +232,68 @@ def test_fredholm_det_on_fixture_transfer_operators():
         fredholm_det(transfer_matrix(cat["edge"]).mat, 4).coefficients().real,
         [1, 0, 0, 0, 0],
     )
+
+
+def _dense_power_fredholm(mat, order):
+    """fredholm_det as it was before the column blocks: full n x n powers
+    from the identity, one trace each."""
+    p = np.zeros(min(order, mat.shape[0]) + 1, dtype=np.complex128)
+    power = np.eye(mat.shape[0])
+    for j in range(1, len(p)):
+        power = mat @ power
+        p[j] = np.trace(power)
+    return series._newton(p).truncate(order)
+
+
+def test_fredholm_det_blocks_keep_the_bits_of_dense_powers():
+    """Column blocks change no bit of a sparse T's series, real or complex,
+    at any width around the block (n = 63, 64, 65) and past two blocks.
+
+    An oriented-edge count is even, so the odd widths are leading principal
+    blocks of a transfer operator; the 2-dim unitary systems make T complex."""
+    rng = np.random.default_rng(64)
+    mats = [transfer_matrix(g).mat for g in fixtures.catalogue().values()]
+    mats += [transfer_matrix(complete_graph(n, 1.5)).mat for n in (4, 7)]
+    for mode in ("none", "symmetric", "any"):
+        for n_edges in (16, 31, 32, 33, 70):
+            g = random_graph(rng, n_vertices=n_edges - 2, extra_edges=3, backtrack=mode)
+            system = make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})
+            for T in (transfer_matrix(g).mat, transfer_matrix(g, system).mat):
+                mats.append(T)
+                mats += [T[:k, :k] for k in (63, 65) if k < T.shape[0]]
+    assert {63, 64, 65} <= {T.shape[0] for T in mats}
+    assert max(T.shape[0] for T in mats) > 2 * series.TRACE_BLOCK
+    assert any(T.dtype == np.complex128 and T.shape[0] > series.TRACE_BLOCK for T in mats)
+    for T in mats:
+        for order in (0, 1, 12, 24, T.shape[0] + 1):
+            got = fredholm_det(T, order).c.tobytes()
+            assert got == _dense_power_fredholm(T, order).c.tobytes(), (T.shape, order)
+
+
+def test_fredholm_det_memory_is_a_few_blocks():
+    """About 2000 oriented edges: dense n x n powers took 64 MB, the column
+    blocks about 2 MB."""
+    g = random_graph(np.random.default_rng(2000), n_vertices=700, extra_edges=301)
+    T = transfer_matrix(g).mat
+    assert T.shape == (2000, 2000)
+    tracemalloc.start()
+    try:
+        fredholm_det(T, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_fredholm_det_of_nilpotent_operators_is_one():
+    """No edges (dim T = 0, no block at all) and a tree (T nilpotent, every
+    trace an exact zero) give exactly 1 at every order."""
+    one_vertex = make_graph(["a"], [])
+    tree = make_graph("pqrst", [(a, b, 0.5, 0.7) for a, b in ("pq", "qr", "rs", "qt")])
+    for g in (one_vertex, tree):
+        for order in (0, 1, 12):
+            c = fredholm_det(transfer_matrix(g).mat, order).c
+            assert c.tolist() == [1.0] + [0.0] * order
 
 
 def test_matrix_series_det_equals_fredholm_embedding():
