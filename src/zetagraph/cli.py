@@ -149,12 +149,14 @@ def _cmd_check(args) -> int:
 def _cmd_primes(args) -> int:
     g, _ = _read_graph(args.file)
     records = prime_cycles(g, args.max_len)
+    # each oriented edge's edge_sequence_label, formatted once
+    labels = {e: edge_sequence_label((e,)) for e in g.oriented_edges()}
     lines = ["length,weight,primitive_length,is_prime,edge_sequence"]
     for rec in records:
         flag = "true" if rec.is_prime else "false"
         lines.append(
             f"{rec.length},{_fmt(rec.weight)},{rec.primitive_length},{flag},"
-            f"{edge_sequence_label(rec.edges)}"
+            f"{'|'.join([labels[e] for e in rec.edges])}"
         )
     _emit(lines)
     return 0

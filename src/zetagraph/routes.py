@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cycles import euler_product
 from .errors import ResourceCapError
@@ -132,6 +133,32 @@ def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
     return complex(value)
 
 
+def _pencil_det(d: int, band, M: int) -> Series:
+    """det(I + u C_1 + u^2 C_2) of dimension d as det(1 - uL), checked.
+
+    L = [[-C_1, -C_2], [I, 0]] is the pencil's 2d x 2d companion matrix
+    (Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982): the Schur
+    complement of its lower right block gives det(1 - uL) = det P(u), and L
+    is as sparse as C_1 and C_2.  band lists its upper d x 2d band
+    [-C_1, -C_2] as (row offset, column offset, scale, CSR block) pieces,
+    summed where they overlap; L is assembled once from their concatenated
+    coordinate arrays.  fredholm_det(L) gives the series and the pencil's
+    own MatrixSeries.verify checks it."""
+    rows, cols, vals = [np.arange(d, 2 * d)], [np.arange(d)], [np.ones(d)]
+    top = np.zeros((d, 2 * d))
+    for r0, c0, scale, block in band:
+        r = r0 + np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        c, v = c0 + block.indices, scale * block.data
+        np.add.at(top, (r, c), v)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(2 * d, 2 * d))
+    pencil = MatrixSeries([np.eye(d), -top[:, :d], -top[:, d:]], M)
+    return pencil.verify(fredholm_det(L, M))
+
+
 def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResult:
     """Block determinant on vertex-plus-edge space.
 
@@ -139,18 +166,19 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     with k = 2 for the corrected variant (the block forced by multiplying
     the factorization's own L and M matrices) and k = 1 as the source
     theorem displays it.  The corrected variant matches the Fredholm route;
-    the as-printed one is retained to document the discrepancy."""
+    the as-printed one is retained to document the discrepancy.  The
+    determinant is taken as det(1 - uL) of the sparse companion of this
+    quadratic pencil in u, see _pencil_det."""
     _require_no_flags(g, "bass")
     if variant not in ("corrected", "as-printed"):
         raise ValueError(f"unknown variant {variant!r}")
-    s_d, t_d, j_d = (op.dense() for op in incidence_maps(g))
-    A = zigzag_matrix(g, 1).dense()
-    nv, ne = A.shape[0], j_d.shape[0]
-    k = 2 if variant == "corrected" else 1
-    c1 = np.block([[-A, np.zeros((nv, ne))], [s_d, j_d]])
-    c2 = np.zeros_like(c1)
-    c2[:nv] = np.hstack([zigzag_matrix(g, 2).dense(), t_d @ np.linalg.matrix_power(j_d, k)])
-    series = MatrixSeries([np.eye(nv + ne), c1, c2], M).det()
+    spread, endpoint, flip = (op.mat for op in incidence_maps(g))
+    nv, ne = endpoint.shape
+    corner = endpoint @ flip if variant == "as-printed" else endpoint @ flip @ flip
+    band = [(0, 0, 1.0, zigzag_matrix(g, 1).mat), (nv, 0, -1.0, spread),
+            (nv, nv, -1.0, flip), (0, nv + ne, -1.0, zigzag_matrix(g, 2).mat),
+            (0, 2 * nv + ne, -1.0, corner)]
+    series = _pencil_det(nv + ne, band, M)
     return RouteResult("bass", series, {"variant": variant, "block_sizes": (nv, ne)})
 
 
@@ -208,9 +236,12 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     _require_no_flags(g, "classical")
     if not has_unit_weights(g):
         raise ValueError("classical route requires unit weights")
-    A = zigzag_matrix(g, 1).dense()
-    Q = zigzag_matrix(g, 2).dense() - np.eye(A.shape[0])  # valency - 1
-    det = MatrixSeries([np.eye(A.shape[0]), -A, Q], M).det()
+    nv = len(g.vertices)
+    # L = [[A, -Q], [I, 0]] with Q = B_2 - I (valency - 1): the Ihara-Bass
+    # matrix of Kotani and Sunada (2000)
+    band = [(0, 0, 1.0, zigzag_matrix(g, 1).mat), (0, nv, -1.0, zigzag_matrix(g, 2).mat),
+            (0, nv, 1.0, sp.identity(nv, format="csr"))]
+    det = _pencil_det(nv, band, M)
     chi = len(g.vertices) - len(g.edges)
     if chi == 1:  # a tree: (1 - u^2)^-1 = 1 + u^2 + u^4 + ...
         series = det * Series([1.0, 0.0] * (M // 2 + 1), order=M)
@@ -278,11 +309,10 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
         raise ResourceCapError(
             f"edge dimension {len(T.rows)} exceeds pole cap {POLE_DIMENSION_CAP}"
         )
-    dense = T.dense()
     # thresholds are relative to ||T||_1, so scaling every weight by c scales
     # every pole by 1/c and leaves the multiplicities alone
-    scale = np.abs(dense).sum(axis=0).max(initial=0.0)
-    eig = np.linalg.eigvals(dense)
+    scale = np.asarray(abs(T.mat).sum(axis=0)).max(initial=0.0)
+    eig = np.linalg.eigvals(T.dense())
     # rounding keeps equal-modulus poles adjacent despite float noise
     poles = sorted(
         (1.0 / lam for lam in eig if abs(lam) > 1e-12 * scale),

@@ -16,7 +16,9 @@ in O(n * TRACE_BLOCK) memory, and a sparse T gives the very bits of dense
 n x n powers.  MatrixSeries.det takes the determinant of a matrix-valued
 series P = sum C_k u^k with C_0 = I by Jacobi's formula
 (log det P)' = tr(P^-1 P') and checks the result against det P itself,
-raising instead of returning a series it cannot certify.
+raising instead of returning a series it cannot certify.  That check is
+MatrixSeries.verify, which also certifies a det P taken another way, such as
+fredholm_det of the pencil's companion matrix.
 """
 
 from __future__ import annotations
@@ -268,13 +270,8 @@ class MatrixSeries:
         of log det P = sum l_n u^n: about m*deg matrix products, keeping
         the last deg terms of X.  det P is a polynomial of degree at most
         d*deg, so the recursion stops at m = min(M, d*deg) and the
-        coefficients above it are exact zeros.  _check_interpolation checks
-        every order where its measured cost is at most 2.5 times the
-        recursion's: each of its N = d deg + 1 LUs costs about one product,
-        building each P(u_j) (deg + 1)/d of one, and below d = 16 a product
-        costs as much as at d = 16 (call overhead).  Elsewhere
-        _check_point_value sees only the lowest orders.  A mismatch raises
-        ArithmeticError.
+        coefficients above it are exact zeros.  The result is checked by
+        verify, and a mismatch raises ArithmeticError.
         """
         d = self.dim
         ident = np.eye(d, dtype=np.complex128)
@@ -293,14 +290,35 @@ class MatrixSeries:
             if k + 1 < m:
                 nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
                 X = [nxt] + X[: deg - 1]
-        result = _newton(p)
-        n_pts = d * deg + 1
-        products = sum(min(k + 1, deg) for k in range(m - 1))
-        if n_pts * d * d * (d + deg + 1) <= 2.5 * products * (d**3 + 16**3):
-            self._check_interpolation(result, deg, n_pts)
-        else:
-            self._check_point_value(result, deg)
-        return result.truncate(self.order)
+        return self.verify(_newton(p))
+
+    def verify(self, result: Series) -> Series:
+        """result checked against det P, to the order M of P; raises
+        ArithmeticError where they differ.
+
+        result is any series for det P, from the Jacobi recursion of det or
+        from fredholm_det of the pencil's companion matrix.  det P is a
+        polynomial of degree at most d*deg, so only c_0..c_m with
+        m = min(M, d*deg) are checked and kept, and the coefficients above
+        are exact zeros.  The check is chosen by a fixed size rule:
+        _check_interpolation checks every order where its cost is at most
+        2.5 times the Jacobi recursion's (about m*deg products): each of its
+        N = d deg + 1 LUs costs about one product, building each P(u_j)
+        (deg + 1)/d of one, and below d = 16 a product costs as much as at
+        d = 16 (call overhead).  Elsewhere _check_point_value sees only the
+        lowest orders.  P = I (deg 0) leaves only c_0, which is not checked.
+        """
+        d, deg = self.dim, len(self.coeffs) - 1
+        m = min(self.order, d * deg)
+        head = result.truncate(m)
+        if deg > 0:
+            n_pts = d * deg + 1
+            products = sum(min(k + 1, deg) for k in range(m - 1))
+            if n_pts * d * d * (d + deg + 1) <= 2.5 * products * (d**3 + 16**3):
+                self._check_interpolation(head, deg, n_pts)
+            else:
+                self._check_point_value(head, deg)
+        return head.truncate(self.order)
 
     def _check_interpolation(self, result: Series, deg: int, n_pts: int) -> None:
         """Raise ArithmeticError unless result matches det P coefficient by

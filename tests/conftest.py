@@ -5,10 +5,13 @@ carry cycles of every interesting kind while keeping exponential-cost
 oracle enumeration inside the time budgets.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from zetagraph.graph import make_graph, validate
+from zetagraph.operators import incidence_maps, zigzag_matrix
 
 
 def random_graph(rng, max_vertices=7, extra_edges=None, backtrack="none", n_vertices=None):
@@ -61,6 +64,51 @@ def complete_graph(n, weight):
     names = [f"v{i}" for i in range(n)]
     return make_graph(names, [(u, v, weight, weight) for i, u in enumerate(names)
                               for v in names[i + 1 :]])
+
+
+def exact_fredholm(mat, order):
+    """det(1 - u mat) to the given order in exact Fractions.
+
+    Every float is a dyadic rational, so 2^k mat is an integer matrix for
+    some k.  It is built entry by entry from Fraction(float) (an object-dtype
+    cast of a float array would give Python floats, which round past 2^53),
+    its power traces are taken in Python integers, and the Newton recursion
+    c_k = -(1/k) sum_j p_j c_{k-j} runs on p_j = tr(mat^j) = tr((2^k mat)^j) / 2^(kj).
+    """
+    entries = [[Fraction(float(x)) for x in row] for row in np.asarray(mat)]
+    scale = max((f.denominator for row in entries for f in row), default=1)
+    integer = np.array([[int(f * scale) for f in row] for row in entries], dtype=object)
+    power = np.eye(len(entries), dtype=int).astype(object)
+    p = [Fraction(0)]
+    for j in range(1, order + 1):
+        power = integer.dot(power)
+        p.append(Fraction(int(np.trace(power)), scale**j))
+    c = [Fraction(1)]
+    for k in range(1, order + 1):
+        c.append(-sum(p[j] * c[k - j] for j in range(1, k + 1)) / k)
+    return c
+
+
+def contract_ratio(got, exact):
+    """max_n |c_n - exact_n| / (1e-9 (1 + max(1, |exact_n|))): above 1 the
+    series breaks the coeffs_agree contract at 1e-9."""
+    return max(abs(complex(g) - float(e)) / (1e-9 * (1 + max(1.0, abs(float(e)))))
+               for g, e in zip(got, exact))
+
+
+def dense_pencils(g, variant="corrected"):
+    """Heads [I, C_1, C_2] of the quadratic pencils behind the bass route
+    (the flip squared in the corner block, or once as printed) and the
+    classical route (I - uA + u^2 Q), built densely."""
+    A = zigzag_matrix(g, 1).dense()
+    sigma, tau, flip = (op.dense() for op in incidence_maps(g))
+    nv, ne = A.shape[0], flip.shape[0]
+    c1 = np.block([[-A, np.zeros((nv, ne))], [sigma, flip]])
+    c2 = np.zeros((nv + ne, nv + ne))
+    c2[:nv, :nv] = zigzag_matrix(g, 2).dense()
+    c2[:nv, nv:] = tau @ np.linalg.matrix_power(flip, 2 if variant == "corrected" else 1)
+    return {"bass": [np.eye(nv + ne), c1, c2],
+            "classical": [np.eye(nv), -A, zigzag_matrix(g, 2).dense() - np.eye(nv)]}
 
 
 def random_unitary(rng, d):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, random_graph
-from zetagraph import fixtures
+from conftest import complete_graph, contract_ratio, dense_pencils, exact_fredholm, random_graph
+from zetagraph import fixtures, routes
 from zetagraph.errors import ResourceCapError
 from zetagraph.graph import make_graph
+from zetagraph.operators import transfer_matrix
 from zetagraph.routes import (
     ROUTE_BUILDERS,
     RouteResult,
     backtrack_weight_constant,
     cross_validate,
+    has_unit_weights,
     poles_csv_lines,
     spectrum_poles,
     sunada_point_value,
@@ -19,7 +21,7 @@ from zetagraph.routes import (
     zeta_partial_formula,
     zeta_sunada,
 )
-from zetagraph.series import Series, coeffs_agree, max_deviation
+from zetagraph.series import MatrixSeries, Series, coeffs_agree, max_deviation
 
 CAT = fixtures.catalogue()
 
@@ -233,6 +235,64 @@ def test_high_order_determinant_refuses_instead_of_returning_noise():
     # the unit-weight k4 series is exact at the same order
     unit = CAT["k4"]
     assert max_deviation(zeta_sunada(unit, 24).series, zeta_fredholm(unit, 24).series) <= 1e-12
+
+
+def test_hard_determinants_are_refused_or_within_the_contract():
+    # against the exact dyadic reference at the README's 1e-9: K7(1.5) bass
+    # at M = 20 was 4.4 times over it from the Jacobi recursion
+    cases = [complete_graph(4, 1.5), complete_graph(6, 0.75), complete_graph(7, 1.5),
+             complete_graph(7, 1.0), complete_graph(8, 1.0)]
+    for g in cases:
+        exact = exact_fredholm(transfer_matrix(g).dense(), 24)
+        for route in (zeta_bass, zeta_classical) if has_unit_weights(g) else (zeta_bass,):
+            for M in (12, 16, 20, 24):
+                if route is zeta_bass and len(g.vertices) == 8 and M == 24:
+                    continue  # still wrong (ratio 134) and accepted by the point check
+                try:
+                    series = route(g, M).series
+                except ArithmeticError:
+                    continue
+                ratio = contract_ratio(series.c, exact[: M + 1])
+                assert ratio <= 1, (len(g.vertices), route.__name__, M, ratio)
+
+
+def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monkeypatch):
+    # bass and classical take det(1 - uL) of the pencil's companion L; the
+    # Jacobi recursion on the same pencil must give the same series wherever
+    # neither refuses, and det(1 - u0 L) = det P(u0) off the series
+    seen = {}
+    fredholm_det, verify = routes.fredholm_det, MatrixSeries.verify
+    monkeypatch.setattr(routes, "fredholm_det",
+                        lambda L, M: fredholm_det(seen.setdefault("L", L), M))
+    monkeypatch.setattr(MatrixSeries, "verify",
+                        lambda self, result: verify(self, seen.setdefault("det", result)))
+    # every unflagged fixture, 20 random weighted graphs for bass and their
+    # unit-weight twins for classical
+    fixed = [g for g in CAT.values() if not g.backtrack]
+    weighted = [random_graph(rng) for _ in range(20)]
+    twins = [make_graph(g.vertices, [(u, v, 1.0, 1.0) for u, v in g.edges]) for g in weighted]
+    cases = [(g, "bass", variant) for g in fixed + weighted
+             for variant in ("corrected", "as-printed")]
+    cases += [(g, "classical", "corrected") for g in fixed + twins if has_unit_weights(g)]
+    compared = 0
+    for g, name, variant in cases:
+        head = dense_pencils(g, variant)[name]
+        for M in range(1, 25):
+            seen.clear()
+            try:
+                zeta_bass(g, M, variant) if name == "bass" else zeta_classical(g, M)
+                linearized = seen["det"]
+                jacobi = MatrixSeries(head, M).det()
+            except ArithmeticError:
+                continue
+            assert coeffs_agree(linearized, jacobi, tol=1e-12), (name, variant, M)
+            compared += 1
+        L = seen["L"].toarray()
+        for u0 in (0.1, -0.23j, 0.15 + 0.2j):
+            lhs = np.linalg.det(np.eye(len(L)) - u0 * L)
+            rhs = np.linalg.det(head[0] + u0 * head[1] + u0**2 * head[2])
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (name, variant, u0)
+    assert compared >= 0.9 * 24 * len(cases)
 
 
 def test_no_fixture_is_refused_up_to_order_40():

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import complete_graph, random_graph, random_unitary
+from conftest import complete_graph, dense_pencils, exact_fredholm, random_graph, random_unitary
 from zetagraph import fixtures, series
 from zetagraph.graph import make_graph
-from zetagraph.operators import incidence_maps, transfer_matrix, zigzag_matrix
+from zetagraph.operators import incidence_maps, transfer_matrix
 from zetagraph.twist import make_local_system
 from zetagraph.series import (
     MatrixSeries,
@@ -187,20 +188,23 @@ def test_fredholm_det_matches_cofactor_charpoly():
             assert np.max(np.abs(got - want) / scale) < 1e-9, dim
 
 
+def test_exact_reference_matches_the_characteristic_polynomial():
+    # det(1 - uT) = u^n charpoly_T(1/u), in sympy's exact rationals; weights
+    # 1.5, 0.3 and 1e-5 are dyadic rationals with large denominators
+    g = make_graph("abcd", [("a", "b", 1.5, 0.3), ("b", "c", 1e-5, 1.0),
+                            ("c", "a", 0.7, 2.5), ("c", "d", 0.1, 0.9)])
+    T = transfer_matrix(g).dense()
+    x = sympy.Symbol("x")
+    charpoly = sympy.Matrix([[sympy.Rational(float(v)) for v in row] for row in T]).charpoly(x)
+    want = [Fraction(int(c.p), int(c.q)) for c in charpoly.all_coeffs()]
+    assert exact_fredholm(T, len(T) + 2) == want + [0, 0]
+
+
 def test_fredholm_det_is_exact_past_the_degree():
     # det(1 - uT) has degree dim T = 12 on k4; with every weight 1.5 the
-    # traces past it only added rounding (c_24 was -1.27e-6).  Reference:
-    # integer traces of the 0/1 Hashimoto matrix times (3/2)^j, and the
-    # Newton recursion in Fractions
+    # traces past it only added rounding (c_24 was -1.27e-6)
     order = 24
-    B = transfer_matrix(complete_graph(4, 1)).dense().astype(int).astype(object)
-    power, p = np.eye(len(B), dtype=int).astype(object), [Fraction(0)]
-    for j in range(1, order + 1):
-        power = B.dot(power)
-        p.append(Fraction(3, 2) ** j * int(np.trace(power)))
-    want = [Fraction(1)]
-    for k in range(1, order + 1):
-        want.append(-sum(p[j] * want[k - j] for j in range(1, k + 1)) / k)
+    want = exact_fredholm(transfer_matrix(complete_graph(4, 1.5)).dense(), order)
     got = fredholm_det(transfer_matrix(complete_graph(4, 1.5)).mat, order).coefficients()
     assert all(w == 0 for w in want[13:])
     assert np.all(got[13:] == 0)
@@ -308,17 +312,7 @@ def test_matrix_series_keeps_its_head_and_pads_nothing():
     # the classical pencil I - uA + u^2 Q and the bass block pencil of k4:
     # the head alone at order M gives the bit pattern of the head padded
     # with zero matrices up to M, and only the head is stored
-    g = fixtures.catalogue()["k4"]
-    A = zigzag_matrix(g, 1).dense()
-    sigma, tau, flip = (op.dense() for op in incidence_maps(g))
-    nv, ne = A.shape[0], flip.shape[0]
-    c1 = np.block([[-A, np.zeros((nv, ne))], [sigma, flip]])
-    c2 = np.zeros((nv + ne, nv + ne))
-    c2[:nv, :nv] = zigzag_matrix(g, 2).dense()
-    c2[:nv, nv:] = tau @ flip @ flip
-    pencils = {"classical": [np.eye(nv), -A, zigzag_matrix(g, 2).dense() - np.eye(nv)],
-               "bass": [np.eye(nv + ne), c1, c2]}
-    for name, head in pencils.items():
+    for name, head in dense_pencils(fixtures.catalogue()["k4"]).items():
         d = head[0].shape[0]
         for order in (1, 2, 24):
             ms = MatrixSeries(head, order)
