@@ -8,6 +8,7 @@ disagreement, 3 I/O or parse failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parse_args keeps no
+    state from one call to the next."""
     p = _Parser(prog="zetagraph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -148,6 +152,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_primes(args) -> int:
     g, _ = _read_graph(args.file)
+    if args.max_len < 1:
+        raise ValueError("max-len must be >= 1")
     records = prime_cycles(g, args.max_len)
     # each oriented edge's edge_sequence_label, formatted once
     labels = {e: edge_sequence_label((e,)) for e in g.oriented_edges()}

@@ -7,10 +7,10 @@ non-backtracking rule of _step_ok: e' = e reversed is forbidden unless e
 carries the backtrack flag.  Two depth-first generators walk the graph
 under that rule and nothing else does:
 
-- _closed_walks yields the admissible closed edge sequences rooted at
-  each edge: all of them (closed_sequences), or only the necklaces, the
-  sequences that are their own least rotation (prime_cycles, and through
-  it euler_product);
+- _closed_walks yields the admissible closed sequences rooted at each
+  edge, as edge indices: all of them (closed_sequences), or only the
+  necklaces, the sequences that are their own least rotation
+  (_cycle_classes, which sorts them for prime_cycles and euler_product);
 - reduced_walks yields the vertex walks whose steps obey the rule; one
   traversal fills both vertex-path counting modes of compute_Nm, kept only
   as diagnostics (see tail_mode_report), and it feeds the direct path-sum
@@ -24,7 +24,11 @@ can close, and a branch that cannot close within the bound is never
 pushed.  In necklace mode it extends only prenecklaces, by the
 Fredricksen-Kessler-Maiorana rule (Cattell et al., J. Algorithms 2000), so
 each rotation class is met once, rooted at its least rotation, with its
-least period known from the walk itself.
+least period known from the walk itself.  Index order is canonical order,
+so sorting index sequences sorts the edge sequences they stand for: the
+untwisted euler_product reads each prime's length and weight straight from
+the sorted classes, and only prime_cycles and closed_sequences map indices
+back to edges.
 
 Both generators are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -32,7 +36,7 @@ graphs; they refuse bounds above LENGTH_CAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +80,9 @@ def _return_distances(pred: list[list[int]], s: int, lo: int, L: int) -> list[in
 def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
     """Yield (sequence, weight, period) for every admissible closed edge
     sequence of length 1..L, depth first from each root edge in canonical
-    order; the weight is the in-order product of the edge weights.
+    order.  The sequence is a tuple of edge indices into
+    canonical_order(g)[1]; the weight is the in-order product of the edge
+    weights.
 
     Edges are indices in canonical order with successor lists built once
     from _step_ok.  For each root s a backward breadth-first search over
@@ -113,7 +119,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
             seq, wgt, p = stack.pop()
             n = len(seq)
             if not dist[seq[-1]] and not n % p:
-                yield tuple(map(edges.__getitem__, seq)), wgt, p
+                yield seq, wgt, p
             if n >= L:
                 continue
             b = seq[n - p] if necklaces else -1
@@ -153,9 +159,9 @@ def closed_sequences(
     out: dict[int, list] = {n: [] for n in range(1, L + 1)}
     for seq, wgt, _ in _closed_walks(g, L, necklaces=False):
         out[len(seq)].append((seq, wgt))
-    for n in out:
-        out[n].sort(key=lambda item: item[0])
-    return out
+    edges = canonical_order(g)[1]
+    return {n: [(tuple(map(edges.__getitem__, seq)), wgt) for seq, wgt in sorted(items)]
+            for n, items in out.items()}
 
 
 def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
@@ -197,13 +203,13 @@ def tail_mode_report(g: WeightedGraph, L: int) -> dict[str, list[float]]:
     return {"strict": compute_Nm(g, L, "strict"), **_vertex_path_totals(g, L)}
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """One rotation-equivalence class of admissible closed sequences.
 
     edges holds the least rotation in canonical order and weight the product
     of its edge weights in that order; primitive_length is the smallest
-    period, and the class is prime when it equals the length.
+    period, and the class is prime when it equals the length.  A named
+    tuple, so that building one record per class stays cheap.
     """
 
     edges: tuple[OrientedEdge, ...]
@@ -214,23 +220,25 @@ class CycleRecord:
     holonomy: np.ndarray | None = None
 
 
+def _cycle_classes(g: WeightedGraph, L: int) -> list[tuple[int, tuple[int, ...], float, int]]:
+    """Every cycle class of length <= L as (length, index sequence, weight,
+    period), sorted by length and then index sequence.  Each class occurs
+    once, so the sort never compares weights."""
+    classes = [(len(seq), seq, wgt, p) for seq, wgt, p in _closed_walks(g, L, necklaces=True)]
+    classes.sort()
+    return classes
+
+
 def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
+    edges = canonical_order(g)[1]
     records = []
-    for seq, wgt, period in _closed_walks(g, L, necklaces=True):
-        records.append(
-            CycleRecord(
-                edges=seq,
-                length=len(seq),
-                weight=float(wgt),
-                primitive_length=period,
-                is_prime=period == len(seq),
-                holonomy=holonomy(system, seq) if system else None,
-            )
-        )
-    records.sort(key=lambda r: (r.length, r.edges))
+    for n, seq, wgt, period in _cycle_classes(g, L):
+        cycle = tuple(map(edges.__getitem__, seq))
+        records.append(CycleRecord(cycle, n, float(wgt), period, period == n,
+                                   holonomy(system, cycle) if system else None))
     return records
 
 
@@ -249,16 +257,22 @@ def edge_sequence_label(edges: tuple) -> str:
 def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     """Reciprocal zeta (or L-) series as a finite product over prime classes.
 
-    Multiplies det(1 - w(p) u^{l(p)} H_p) over primes of length <= M; the
-    truncation at order M is exact since longer primes start at u^{M+1}.
-    Each factor is the characteristic polynomial sum_k a_k t^k of H_p,
-    det(1 - t H_p), at t = w(p) u^{l(p)}: a sparse polynomial in u^{l(p)}
-    with coefficients a_k w(p)^k, applied in place by times_sparse.  Without
-    a local system H_p = 1 and the polynomial is 1 - t.
+    Multiplies det(1 - w(p) u^{l(p)} H_p) over primes of length <= M, in
+    the order of prime_cycles; the truncation at order M is exact since
+    longer primes start at u^{M+1}.  Each factor is the characteristic
+    polynomial sum_k a_k t^k of H_p, det(1 - t H_p), at t = w(p) u^{l(p)}:
+    a sparse polynomial in u^{l(p)} with coefficients a_k w(p)^k, applied in
+    place by times_sparse.  Without a local system H_p = 1 and the factor is
+    1 - w(p) u^{l(p)}, taken from the sorted classes without building
+    records; with one, prime_cycles supplies each holonomy.
     """
-    factors = []
-    for rec in prime_cycles(g, M, system=system):
-        if rec.is_prime:
-            charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
-            factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
+    if system is None:
+        factors = [((1.0, -float(w)), n) for n, _, w, p in _cycle_classes(g, M) if p == n]
+    else:
+        factors = []
+        for rec in prime_cycles(g, M, system=system):
+            if rec.is_prime:
+                charpoly = fredholm_det(rec.holonomy, system.dim).c
+                factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)],
+                                rec.length))
     return times_sparse(Series.one(M), factors)

@@ -153,11 +153,34 @@ def times_sparse(series: Series, factors) -> Series:
     """series times prod over (a, step) in factors of sum_k a_k u^(k*step).
 
     Each factor has a_0 = 1 and is applied in turn to one coefficient array,
-    c_n += sum_{k>=1} a_k c_{n - k*step} from the values before it; terms
-    past the order are skipped, so a step above the order changes nothing.
+    c_n += sum_{k>=1} a_k c_{n - k*step} from the values before it, term by
+    term in k; terms past the order are skipped, so a step above the order
+    changes nothing.
+
+    When every a_k is a float and every imaginary part of the series is
+    +0.0, the update runs on a list of the real parts, n stepping down so
+    that c_{n - k*step} still holds its value from before the factor.  That
+    gives the bits of the complex update: a complex times a real a_k has
+    real part a_k x - 0 * 0 = a_k x, its imaginary part is a sum of signed
+    zeros that the +0.0 already there absorbs, and the real parts are
+    summed in the same order.  The list would drop the sign of a -0.0
+    imaginary part, which the complex update keeps wherever it adds nothing
+    or -0.0, so such a series takes the complex update, as complex factors
+    do.
     """
-    c = series.coefficients()
     m = series.order
+    imag = series.c.imag
+    if (all(isinstance(x, float) for a, _ in factors for x in a)
+            and not (imag.any() or np.signbit(imag).any())):
+        c = series.c.real.tolist()
+        for a, step in factors:
+            for n in range(m, step - 1, -1):
+                k = 1
+                while k < len(a) and k * step <= n:
+                    c[n] += a[k] * c[n - k * step]
+                    k += 1
+        return Series(c)
+    c = series.coefficients()
     for a, step in factors:
         old = c.copy()
         for k in range(1, min(len(a) - 1, m // step) + 1):

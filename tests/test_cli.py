@@ -262,6 +262,10 @@ def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):
         assert code == 1 and "tol must be a finite number >= 0" in err, tol
     code, _, _ = run(capsys, ["check", gfile("k3"), "--tol", "0"])
     assert code == 0
+    # a length bound below 1 is a usage error, like an order below 1
+    for max_len in ("0", "-3"):
+        code, out, err = run(capsys, ["primes", gfile("k3"), "--max-len", max_len])
+        assert code == 1 and out == [] and "max-len must be >= 1" in err, max_len
 
 
 def test_exit_4_oracle_length_cap(gfile, capsys):
@@ -299,8 +303,13 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_reruns_are_byte_identical(gfile, capsys):
+    """The parser is built once per process: a usage error, another command
+    and a refusal in between leave no trace on the next run."""
     path = gfile("k4")
     first = run(capsys, ["check", path, "--order", "8"])
+    assert run(capsys, ["check"])[0] == 1
+    assert run(capsys, ["primes", path, "--max-len", "4"])[0] == 0
+    assert run(capsys, ["primes", path, "--max-len", "21"])[0] == 4
     second = run(capsys, ["check", path, "--order", "8"])
     assert first == second
     assert first[0] == 0

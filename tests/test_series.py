@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import complete_graph, dense_pencils, exact_fredholm, random_graph, random_unitary
+from conftest import (
+    complete_graph,
+    complex_times_sparse,
+    dense_pencils,
+    exact_fredholm,
+    random_graph,
+    random_unitary,
+)
 from zetagraph import fixtures, series
 from zetagraph.graph import make_graph
 from zetagraph.operators import incidence_maps, transfer_matrix
@@ -169,6 +176,38 @@ def test_times_sparse_matches_sequential_twisted_charpoly_factors():
     got = times_sparse(s, factors)
     want = sequential_product(s, factors)
     assert np.max(np.abs(got.c - want.c)) < 1e-14
+
+
+def test_times_sparse_real_path_keeps_the_bits_of_the_complex_update():
+    """Float factors on a series whose imaginary parts are all +0.0 run on
+    a list of real parts; the result must be the complex update's to the
+    bit, signed zeros included.  A -0.0 imaginary part or a complex factor
+    must take the complex update itself."""
+    rng = np.random.default_rng(17)
+    values = np.concatenate([rng.normal(size=40), rng.uniform(-3, 3, size=20), [0.0, -0.0, 1.0]])
+
+    def real_factor(step):
+        return (1.0, *rng.choice(values, size=int(rng.integers(1, 3))).tolist()), step
+
+    for M in range(25):
+        for step in range(1, M + 2):
+            for _ in range(2):
+                s = Series(rng.choice(values, size=M + 1))
+                factors = [real_factor(step)]
+                factors += [real_factor(int(rng.integers(1, M + 2)))
+                            for _ in range(int(rng.integers(0, 6)))]
+                want = complex_times_sparse(s.c, factors)
+                assert times_sparse(s, factors).c.tobytes() == want.tobytes(), (M, factors)
+    M = 10
+    s = Series([complex(1.0, -0.0)] + rng.normal(size=M).tolist())
+    factors = [((1.0, -0.3), 2), ((1.0, 0.5, -0.25), 3)]
+    got = times_sparse(s, factors).c
+    assert got.tobytes() == complex_times_sparse(s.c, factors).tobytes()
+    assert np.signbit(got[0].imag)
+    s = Series(rng.normal(size=M + 1))
+    factors = [((1.0, complex(-0.3, 0.4)), 1), ((1.0, 0.5j, -0.25 + 0.1j), 2)]
+    assert (times_sparse(s, factors).c.tobytes()
+            == complex_times_sparse(s.c, factors).tobytes())
 
 
 def test_fredholm_det_scalar_cases():
