@@ -25,10 +25,10 @@ pushed.  In necklace mode it extends only prenecklaces, by the
 Fredricksen-Kessler-Maiorana rule (Cattell et al., J. Algorithms 2000), so
 each rotation class is met once, rooted at its least rotation, with its
 least period known from the walk itself.  Index order is canonical order,
-so sorting index sequences sorts the edge sequences they stand for: the
-untwisted euler_product reads each prime's length and weight straight from
-the sorted classes, and only prime_cycles and closed_sequences map indices
-back to edges.
+so sorting index sequences sorts the edge sequences they stand for:
+euler_product reads each prime's length and weight straight from the
+sorted classes and maps a prime back to edges only for its holonomy, and
+prime_cycles and closed_sequences map every sequence back to edges.
 
 Both generators are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -209,7 +209,8 @@ class CycleRecord(NamedTuple):
     edges holds the least rotation in canonical order and weight the product
     of its edge weights in that order; primitive_length is the smallest
     period, and the class is prime when it equals the length.  A named
-    tuple, so that building one record per class stays cheap.
+    tuple, so that building one record per class stays cheap; it therefore
+    compares equal to, unpacks and orders like a plain 6-tuple.
     """
 
     edges: tuple[OrientedEdge, ...]
@@ -262,17 +263,20 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     longer primes start at u^{M+1}.  Each factor is the characteristic
     polynomial sum_k a_k t^k of H_p, det(1 - t H_p), at t = w(p) u^{l(p)}:
     a sparse polynomial in u^{l(p)} with coefficients a_k w(p)^k, applied in
-    place by times_sparse.  Without a local system H_p = 1 and the factor is
-    1 - w(p) u^{l(p)}, taken from the sorted classes without building
-    records; with one, prime_cycles supplies each holonomy.
+    place by times_sparse.  Without a local system H_p = 1 and the
+    polynomial is 1 - t.  The primes are read straight from the sorted
+    classes, with no records; a prime's holonomy, when there is a system,
+    is taken from its own edges.
     """
-    if system is None:
-        factors = [((1.0, -float(w)), n) for n, _, w, p in _cycle_classes(g, M) if p == n]
-    else:
-        factors = []
-        for rec in prime_cycles(g, M, system=system):
-            if rec.is_prime:
-                charpoly = fredholm_det(rec.holonomy, system.dim).c
-                factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)],
-                                rec.length))
+    edges = canonical_order(g)[1]
+    factors = []
+    for n, seq, wgt, period in _cycle_classes(g, M):
+        if period == n:
+            if system is None:
+                charpoly = (1.0, -1.0)
+            else:
+                cycle = tuple(map(edges.__getitem__, seq))
+                charpoly = fredholm_det(holonomy(system, cycle), system.dim).c
+            w = float(wgt)
+            factors.append(([a * w ** k for k, a in enumerate(charpoly)], n))
     return times_sparse(Series.one(M), factors)
