@@ -2,13 +2,17 @@
 
 Bases always follow :func:`zetagraph.graph.canonical_order`.  Every matrix
 is compressed sparse row.  :func:`incidence_maps` builds the three maps
-between vertex and edge space (spread, endpoint, flip) for the plain graph
-and, block by block, for a local system, so the untwisted maps are its
-trivial one-dimensional case; :func:`transfer_matrix` derives the transfer
-operator T from them.  The vertex-space factorization series built from
-these maps and the roundtrip product live here too; the determinant routes
-use them for the zeta function and, with a local system, for the
-L-function.
+between vertex and edge space (spread, endpoint, flip), and
+:func:`zigzag_matrix` the zigzag operators, from NumPy arrays over the
+canonical oriented edges: origin and target vertex indices, the index of
+each edge's reversal, the weights and the unflagged mask, plus for the
+maps the (|OE|, d, d) stack of transports of a local system (all ones
+without one, so the untwisted maps are its d = 1 case).  The CSR arrays
+are written straight from these, in sorted order and without the zero
+entries of a block; :func:`transfer_matrix` derives the transfer operator
+T from the maps.  The vertex-space factorization series built from these
+maps and the roundtrip product live here too; the determinant routes use
+them for the zeta function and, with a local system, for the L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -32,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cycles import reduced_walks
-from .graph import WeightedGraph, canonical_order, reverse
+from .graph import WeightedGraph, canonical_order
 from .series import MatrixSeries, Series, times_sparse
 
 
@@ -58,20 +62,47 @@ class LinearOperator:
         return LinearOperator(self.rows, other.cols, self.mat @ other.mat)
 
 
-def _materialize(rows, cols, triplets, d: int = 1, dtype=np.float64) -> LinearOperator:
-    """CSR operator from (row_index, col_index, block) triples.
+def _edge_arrays(g: WeightedGraph):
+    """Canonical bases and, per oriented edge in canonical order, NumPy
+    arrays of origin and target vertex indices, the index of the reversal,
+    the weight and whether the edge is unflagged."""
+    verts, edges = canonical_order(g)
+    vi = {x: i for i, x in enumerate(verts)}
+    origin = np.array([vi[x] for x, _ in edges], dtype=np.int64)
+    target = np.array([vi[y] for _, y in edges], dtype=np.int64)
+    # canonical order sorts edges by (origin, target), so this key increases
+    key = origin * len(verts) + target
+    reversal = np.searchsorted(key, target * len(verts) + origin)
+    weight = np.array([g.weight[e] for e in edges], dtype=np.float64)
+    unflagged = np.array([e not in g.backtrack for e in edges], dtype=bool)
+    return verts, edges, origin, target, reversal, weight, unflagged
 
-    Blocks are scalars when d = 1 and d x d arrays otherwise; zero entries
-    of a block are not stored, and repeated positions are summed."""
-    ii = np.array([t[0] for t in triplets], dtype=np.int64)
-    jj = np.array([t[1] for t in triplets], dtype=np.int64)
-    blocks = np.array([t[2] for t in triplets], dtype=dtype).reshape(len(triplets), d, d)
-    offsets = np.arange(d)
-    r = np.broadcast_to(ii[:, None, None] * d + offsets[None, :, None], blocks.shape)
-    c = np.broadcast_to(jj[:, None, None] * d + offsets[None, None, :], blocks.shape)
-    shape = (len(rows) * d, len(cols) * d)
-    keep = blocks != 0
-    mat = sp.csr_matrix((blocks[keep], (r[keep], c[keep])), shape=shape)
+
+def _block_csr(rows, cols, row_block, col_block, blocks: np.ndarray) -> LinearOperator:
+    """CSR operator holding the d x d block blocks[b] at block position
+    (row_block[b], col_block[b]); the blocks come sorted by that position.
+
+    Entry (i, j) of block b lands in row row_block[b] d + i, after the
+    entries of the earlier block rows and, within its row, after the blocks
+    of its block row that precede b; so every entry is placed by arithmetic,
+    in sorted CSR order without a sort.  Zero entries are not stored."""
+    n_blocks, d = blocks.shape[:2]
+    i = np.arange(d)
+    width = d * np.bincount(row_block, minlength=len(rows))  # entries per row, by block row
+    first = row_block.searchsorted(row_block)  # first block of b's block row
+    slot = ((d * ((d - 1) * first + np.arange(n_blocks)))[:, None, None]
+            + width[row_block][:, None, None] * i[:, None] + i)
+    # scipy's index type: int32 unless a size reaches 2^31
+    index = np.int32 if max(blocks.size, len(rows) * d, len(cols) * d) < 2**31 else np.int64
+    data = np.empty(blocks.size, dtype=blocks.dtype)
+    data[slot] = blocks
+    indices = np.empty(blocks.size, dtype=index)
+    indices[slot] = (d * col_block)[:, None, None] + i
+    keep = data != 0
+    row = np.repeat(np.arange(len(rows) * d, dtype=index), np.repeat(width, d))
+    indptr = row[keep].searchsorted(np.arange(len(rows) * d + 1)).astype(index)
+    mat = sp.csr_matrix((data[keep], indices[keep], indptr),
+                        shape=(len(rows) * d, len(cols) * d))
     return LinearOperator(tuple(rows), tuple(cols), mat)
 
 
@@ -88,26 +119,30 @@ def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     Without a system every transport is the scalar 1.  With one of dimension
     d, each vertex and edge carries a fiber C^d, edge fibers trivialized at
     the origin vertex, and U_e is the d x d block ``system.transport(e)``.
+
+    The maps come from arrays over the canonical edges (see _edge_arrays)
+    and the (|OE|, d, d) stack of transports, all ones without a system, so
+    the untwisted maps are the d = 1 case of one build.  Each block row
+    lists its blocks in column order: spread's row e holds w(e) I at o(e),
+    flip's row e holds w(e) U_(e^-1) at e^-1 when e^-1 is unflagged, and
+    endpoint's block row x holds U_(e^-1) at e^-1 for the out-edges e of x,
+    whose reversals are the edges into x, in canonical order.
     """
+    verts, edges, origin, _, reversal, weight, unflagged = _edge_arrays(g)
     if system is None:
-        d, dtype, one, transport = 1, np.float64, 1.0, lambda e: 1.0
+        transports = np.ones((len(edges), 1, 1))
     else:
-        d, dtype, transport = system.dim, np.complex128, system.transport
-        one = np.eye(d, dtype=dtype)
-    verts, edges = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    ei = {e: i for i, e in enumerate(edges)}
-    spread, endpoint, flip = [], [], []
-    for e in edges:
-        U = transport(e)
-        spread.append((ei[e], vi[e[0]], g.weight[e] * one))
-        endpoint.append((vi[e[1]], ei[e], U))
-        if e not in g.backtrack:
-            flip.append((ei[reverse(e)], ei[e], g.weight[reverse(e)] * U))
+        d = system.dim
+        transports = np.array([system.transport(e) for e in edges],
+                              dtype=np.complex128).reshape(len(edges), d, d)
+    scale = weight[:, None, None]
+    into = transports[reversal]
+    flipped = np.flatnonzero(unflagged[reversal])
     return (
-        _materialize(edges, verts, spread, d, dtype),
-        _materialize(verts, edges, endpoint, d, dtype),
-        _materialize(edges, edges, flip, d, dtype),
+        _block_csr(edges, verts, np.arange(len(edges)), origin,
+                   scale * np.eye(transports.shape[1], dtype=transports.dtype)),
+        _block_csr(verts, edges, origin, reversal, into),
+        _block_csr(edges, edges, flipped, reversal[flipped], scale[flipped] * into[flipped]),
     )
 
 
@@ -158,24 +193,31 @@ def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:
     (x, x') outside the flag set and orders >= 3 need both orientations
     outside it.  This closed form equals endpoint . flip^(n-1) . spread for
     n >= 1, which the tests check.
+
+    Built from the edge arrays of incidence_maps: an odd order puts
+    W(e)^k w(e) at (t(e), o(e)), listed through the reversals of each
+    vertex's out-edges so that rows and columns come sorted; an even order
+    sums W(e)^k over each vertex's out-edges, added in canonical order.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    verts, _ = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
+    verts, _, origin, target, reversal, weight, unflagged = _edge_arrays(g)
+    index = np.arange(len(verts))
     if n == 0:
-        return _materialize(verts, verts, [(i, i, 1.0) for i in range(len(verts))])
-    triplets = []
-    for x in verts:
-        for y in g.neighbors(x):
-            if n >= 2 and (x, y) in g.backtrack or n >= 3 and (y, x) in g.backtrack:
-                continue
-            W = g.weight[(x, y)] * g.weight[(y, x)]
-            if n % 2 == 0:
-                triplets.append((vi[x], vi[x], W ** (n // 2)))
-            else:
-                triplets.append((vi[y], vi[x], W ** (n // 2) * g.weight[(x, y)]))
-    return _materialize(verts, verts, triplets)
+        return _block_csr(verts, verts, index, index, np.ones((len(verts), 1, 1)))
+    admitted = (np.ones_like(unflagged) if n == 1 else unflagged if n == 2
+                else unflagged & unflagged[reversal])
+    # Python's float pow, edge by edge: NumPy's vectorised power rounds some
+    # values differently in the last bit
+    k = n // 2
+    power = np.array([W**k for W in (weight * weight[reversal]).tolist()], dtype=np.float64)
+    if n % 2 == 0:
+        # bincount adds in index order, and gives integers on no admitted edge
+        diagonal = np.bincount(origin[admitted], weights=power[admitted], minlength=len(verts))
+        return _block_csr(verts, verts, index, index, diagonal.astype(np.float64)[:, None, None])
+    # block row o(e) holds the entry of e^-1, at column t(e)
+    entries = np.where(admitted[reversal], power[reversal] * weight[reversal], 0.0)
+    return _block_csr(verts, verts, origin, target, entries[:, None, None])
 
 
 def reduced_path_matrices(g: WeightedGraph, m: int) -> list[LinearOperator]:

@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_graph, random_unitary
-from zetagraph import fixtures, operators
+from zetagraph import fixtures, operators, routes
 from zetagraph.cycles import closed_sequences
-from zetagraph.graph import canonical_order, make_graph
+from zetagraph.graph import canonical_order, make_graph, reverse
 from zetagraph.routes import ROUTE_BUILDERS
 from zetagraph.series import fredholm_det, max_deviation
 from zetagraph.twist import lfunction, make_local_system, trivial_system
@@ -111,22 +111,107 @@ def test_transfer_is_canonical_csr(rng):
             assert transfer_matrix(g, system).mat.has_canonical_format
 
 
-def _materialize_every_entry(rows, cols, triplets, d=1, dtype=np.float64):
-    """The block builder as it was when it stored every entry, zeros included."""
+def _old_materialize(rows, cols, triplets, d=1, dtype=np.float64, store_zeros=False):
+    """The triplet-to-CSR step of the old builder, through COO; store_zeros
+    keeps every block entry, as it once did."""
     ii = np.array([t[0] for t in triplets], dtype=np.int64)
     jj = np.array([t[1] for t in triplets], dtype=np.int64)
     blocks = np.array([t[2] for t in triplets], dtype=dtype).reshape(len(triplets), d, d)
     offsets = np.arange(d)
     r = np.broadcast_to(ii[:, None, None] * d + offsets[None, :, None], blocks.shape)
     c = np.broadcast_to(jj[:, None, None] * d + offsets[None, None, :], blocks.shape)
-    mat = sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=(len(rows) * d, len(cols) * d))
+    keep = np.ones(blocks.shape, dtype=bool) if store_zeros else blocks != 0
+    mat = sp.csr_matrix((blocks[keep], (r[keep], c[keep])), shape=(len(rows) * d, len(cols) * d))
     return operators.LinearOperator(tuple(rows), tuple(cols), mat)
+
+
+def _old_incidence_maps(g, system=None, store_zeros=False):
+    """The old builder: a loop collecting per-edge triplets."""
+    if system is None:
+        d, dtype, one, transport = 1, np.float64, 1.0, lambda e: 1.0
+    else:
+        d, dtype, transport = system.dim, np.complex128, system.transport
+        one = np.eye(d, dtype=dtype)
+    verts, edges = canonical_order(g)
+    vi = {x: i for i, x in enumerate(verts)}
+    ei = {e: i for i, e in enumerate(edges)}
+    spread, endpoint, flip = [], [], []
+    for e in edges:
+        U = transport(e)
+        spread.append((ei[e], vi[e[0]], g.weight[e] * one))
+        endpoint.append((vi[e[1]], ei[e], U))
+        if e not in g.backtrack:
+            flip.append((ei[reverse(e)], ei[e], g.weight[reverse(e)] * U))
+    return tuple(_old_materialize(rows, cols, triplets, d, dtype, store_zeros)
+                 for rows, cols, triplets in ((edges, verts, spread), (verts, edges, endpoint),
+                                              (edges, edges, flip)))
+
+
+def _old_zigzag_matrix(g, n):
+    """The old zigzag loop over vertices and their neighbours."""
+    verts, _ = canonical_order(g)
+    vi = {x: i for i, x in enumerate(verts)}
+    if n == 0:
+        return _old_materialize(verts, verts, [(i, i, 1.0) for i in range(len(verts))])
+    triplets = []
+    for x in verts:
+        for y in g.neighbors(x):
+            if n >= 2 and (x, y) in g.backtrack or n >= 3 and (y, x) in g.backtrack:
+                continue
+            W = g.weight[(x, y)] * g.weight[(y, x)]
+            if n % 2 == 0:
+                triplets.append((vi[x], vi[x], W ** (n // 2)))
+            else:
+                triplets.append((vi[y], vi[x], W ** (n // 2) * g.weight[(x, y)]))
+    return _old_materialize(verts, verts, triplets)
+
+
+def _same_csr(a, b):
+    return (a.rows == b.rows and a.cols == b.cols and a.mat.shape == b.mat.shape
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    for x, y in zip((a.mat.data, a.mat.indices, a.mat.indptr),
+                                    (b.mat.data, b.mat.indices, b.mat.indptr))))
+
+
+def _identity_corpus(rng):
+    """(graph, systems) pairs: the fixtures, random graphs of the three flag
+    modes, a single vertex, a single edge and a tree with a flagged pendant,
+    each plain and under 1- and 2-dim systems."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    graphs = list(CAT.values())
+    graphs += [random_graph(rng, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(6)]
+    graphs += [make_graph(["a"], []), make_graph(["a", "b"], [("a", "b", 0.5, 0.25)]),
+               make_graph("pqrs", [("p", "q", 0.5, 0.3), ("q", "r", 0.7, 0.2),
+                                   ("q", "s", 0.4, 0.9)], backtrack=[("q", "s")])]
+    for g in graphs:
+        systems = [None, trivial_system(g, 1), trivial_system(g, 2),
+                   make_local_system(g, 1, {e: random_unitary(rng, 1) for e in g.edges}),
+                   make_local_system(g, 2, {e: swap for e in g.edges[::2]}),
+                   make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})]
+        yield g, systems
+
+
+def test_array_build_matches_triplet_builder(rng):
+    """Spread, endpoint, flip, T and the zigzag orders 0-12 are bit for bit
+    the CSR arrays of the old triplet builder: data, indices, indptr, their
+    dtypes and the shape."""
+    for g, systems in _identity_corpus(rng):
+        for system in systems:
+            new, old = incidence_maps(g, system), _old_incidence_maps(g, system)
+            assert all(_same_csr(a, b) for a, b in zip(new, old))
+            old_T = operators.LinearOperator(old[2].rows, old[2].cols,
+                                             (old[0] @ old[1]).mat - old[2].mat)
+            assert _same_csr(transfer_matrix(g, system), old_T)
+        for n in range(13):
+            assert _same_csr(zigzag_matrix(g, n), _old_zigzag_matrix(g, n))
 
 
 def test_incidence_maps_store_no_zeros(rng, monkeypatch):
     """Each d x d block stores only its nonzero entries: on K4 with the trivial
     2-dim system every map holds 24 of its 48 block entries, and neither the
-    dense maps nor any route output depends on the zeros left out."""
+    dense maps nor any route output depends on the zeros left out, compared
+    with a copy of the old triplet builder that stored them."""
     g = CAT["k4"]
     for twisted, plain in zip(incidence_maps(g, trivial_system(g, 2)), incidence_maps(g)):
         assert twisted.mat.nnz == twisted.mat.count_nonzero() == 24
@@ -141,7 +226,7 @@ def test_incidence_maps_store_no_zeros(rng, monkeypatch):
     def outputs():
         out = []
         for h, system in cases:
-            out += [m.dense() for m in incidence_maps(h, system)]
+            out += [m.dense() for m in operators.incidence_maps(h, system)]
             out.append(transfer_matrix(h, system).dense())
             out.append(lfunction(h, system, 12, route="fredholm").c)
             if not h.backtrack:
@@ -154,7 +239,10 @@ def test_incidence_maps_store_no_zeros(rng, monkeypatch):
         return out
 
     fresh = outputs()
-    monkeypatch.setattr(operators, "_materialize", _materialize_every_entry)
+    stored_zeros = lambda h, system=None: _old_incidence_maps(h, system, store_zeros=True)
+    monkeypatch.setattr(operators, "incidence_maps", stored_zeros)
+    monkeypatch.setattr(routes, "incidence_maps", stored_zeros)
+    assert operators.incidence_maps(g, trivial_system(g, 2))[0].mat.nnz == 48
     stored = outputs()
     assert len(fresh) == len(stored)
     assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(fresh, stored))

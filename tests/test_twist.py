@@ -192,6 +192,69 @@ def test_validation_codes():
     assert any(c == "dimension" for c, _ in report.entries)
 
 
+def _old_validate(g, system):
+    """The per-edge validation loop that the batched one replaced."""
+    entries = []
+    if system.dim < 1:
+        return [("dimension", f"dimension must be >= 1, got {system.dim}")]
+    eye = np.eye(system.dim)
+    for e in g.oriented_edges():
+        if e not in system.transfers:
+            entries.append(("coverage", f"no transfer for oriented edge {e[0]}->{e[1]}"))
+            continue
+        U = np.asarray(system.transfers[e])
+        if U.shape != (system.dim, system.dim):
+            entries.append(("dimension", f"transfer {e[0]}->{e[1]} has shape {U.shape}"))
+            continue
+        if not np.max(np.abs(U @ U.conj().T - eye)) <= 1e-10:
+            entries.append(("unitarity", f"transfer {e[0]}->{e[1]} is not unitary"))
+    for u, v in g.edges:
+        if (u, v) in system.transfers and (v, u) in system.transfers:
+            U, R = system.transfers[(u, v)], system.transfers[(v, u)]
+            if U.shape == R.shape == (system.dim, system.dim):
+                if not np.max(np.abs(R @ U - eye)) <= 1e-10:
+                    entries.append(
+                        ("compatibility", f"transfer {v}->{u} is not the inverse of {u}->{v}"))
+    return entries
+
+
+def test_validation_entries_and_order(rng):
+    """One wrongly shaped, one non-unitary (with its inverse as reversal) and
+    one incompatible transfer give exactly these entries in edge order, as
+    the per-edge loop gave them."""
+    g = CAT["k3"]  # oriented: x->y, y->x, y->z, z->y, z->x, x->z
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=np.complex128)
+    table = dict(trivial_system(g, 2).transfers)
+    table[("x", "y")] = np.eye(3)
+    table[("y", "z")] = np.diag([2.0, 0.5]).astype(np.complex128)
+    table[("z", "y")] = np.diag([0.5, 2.0]).astype(np.complex128)
+    table[("z", "x")] = rotation
+    system = LocalSystem(2, table)
+    expected = [
+        ("dimension", "transfer x->y has shape (3, 3)"),
+        ("unitarity", "transfer y->z is not unitary"),
+        ("unitarity", "transfer z->y is not unitary"),
+        ("compatibility", "transfer x->z is not the inverse of z->x"),
+    ]
+    assert list(validate_local_system(g, system).entries) == expected
+    assert _old_validate(g, system) == expected
+
+    cases = [(g, LocalSystem(0, {})), (g, LocalSystem(2, {}))]
+    for mode in ("none", "any"):
+        h = random_graph(rng, n_vertices=5, backtrack=mode)
+        for dim in (1, 2, 3):
+            broken = dict(random_system(h, rng, dim).transfers)
+            keys = sorted(broken)
+            broken[keys[0]] = np.full((dim, dim), np.nan)
+            broken[keys[1]] = 1.5 * broken[keys[1]]
+            broken[keys[2]] = np.eye(dim + 1)
+            del broken[keys[3]]
+            cases += [(h, random_system(h, rng, dim)), (h, LocalSystem(dim, broken)),
+                      (g, LocalSystem(dim, broken))]
+    for graph, case in cases:
+        assert list(validate_local_system(graph, case).entries) == _old_validate(graph, case)
+
+
 def test_lfunction_rejects_invalid_system():
     g = CAT["k3"]
     with pytest.raises(GraphValidationError):
