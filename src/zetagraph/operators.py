@@ -82,27 +82,18 @@ def _block_csr(rows, cols, row_block, col_block, blocks: np.ndarray) -> LinearOp
     """CSR operator holding the d x d block blocks[b] at block position
     (row_block[b], col_block[b]); the blocks come sorted by that position.
 
-    Entry (i, j) of block b lands in row row_block[b] d + i, after the
-    entries of the earlier block rows and, within its row, after the blocks
-    of its block row that precede b; so every entry is placed by arithmetic,
-    in sorted CSR order without a sort.  Zero entries are not stored."""
-    n_blocks, d = blocks.shape[:2]
+    A stable sort of the entries by row keeps each row's blocks in column
+    order, so the entries land in sorted CSR order.  Zero entries are not
+    stored."""
+    d = blocks.shape[1]
     i = np.arange(d)
-    width = d * np.bincount(row_block, minlength=len(rows))  # entries per row, by block row
-    first = row_block.searchsorted(row_block)  # first block of b's block row
-    slot = ((d * ((d - 1) * first + np.arange(n_blocks)))[:, None, None]
-            + width[row_block][:, None, None] * i[:, None] + i)
-    # scipy's index type: int32 unless a size reaches 2^31
-    index = np.int32 if max(blocks.size, len(rows) * d, len(cols) * d) < 2**31 else np.int64
-    data = np.empty(blocks.size, dtype=blocks.dtype)
-    data[slot] = blocks
-    indices = np.empty(blocks.size, dtype=index)
-    indices[slot] = (d * col_block)[:, None, None] + i
-    keep = data != 0
-    row = np.repeat(np.arange(len(rows) * d, dtype=index), np.repeat(width, d))
-    indptr = row[keep].searchsorted(np.arange(len(rows) * d + 1)).astype(index)
-    mat = sp.csr_matrix((data[keep], indices[keep], indptr),
-                        shape=(len(rows) * d, len(cols) * d))
+    row = np.broadcast_to((d * row_block)[:, None, None] + i[:, None], blocks.shape).ravel()
+    col = np.broadcast_to((d * col_block)[:, None, None] + i, blocks.shape).ravel()
+    data = blocks.ravel()
+    order = np.argsort(row, kind="stable")
+    keep = order[data[order] != 0]
+    indptr = row[keep].searchsorted(np.arange(len(rows) * d + 1))
+    mat = sp.csr_matrix((data[keep], col[keep], indptr), shape=(len(rows) * d, len(cols) * d))
     return LinearOperator(tuple(rows), tuple(cols), mat)
 
 

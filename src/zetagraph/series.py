@@ -358,18 +358,18 @@ class MatrixSeries:
         cancel further.
         """
         C = np.stack(self.coeffs[: deg + 1])
-        m = result.order
+        d, m = self.dim, result.order
         radii = np.geomspace(0.1, 1.5, 64)
         rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
         hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)
         r = radii[np.argmin(hadamard - m * np.log(radii))]
         u = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
         powers = np.power.outer(u, np.arange(deg + 1))
-        # all N matrices P(u_j) in one stack and one LU call: N d^2 entries,
-        # about d times C.  verify's size rule admits this check only up to
-        # about d = 2.5 M, so the stack stays under 1 MB at M = 12 and
-        # reaches 113 MB at the order cap M = 64 (d = 152, deg = 2)
-        values = np.linalg.det(np.tensordot(powers, C, 1))
+        # deg + 1 points at a time, so the values take no more memory than C;
+        # the stack height sets how the product rounds, so it stays fixed
+        flat = C.reshape(deg + 1, -1)
+        values = np.concatenate([np.linalg.det((powers[i : i + deg + 1] @ flat).reshape(-1, d, d))
+                                 for i in range(0, n_pts, deg + 1)])
         scale = r ** -np.arange(m + 1)
         exact = np.fft.fft(values)[: m + 1] / n_pts * scale
         resolution = np.finfo(float).eps * np.sqrt(n_pts) * np.abs(values).max() * scale
