@@ -63,6 +63,39 @@ class WeightedGraph:
             out.setdefault(v, []).append((v, u))
         return {x: tuple(sorted(es)) for x, es in out.items()}
 
+    @cached_property
+    def core(self) -> "WeightedGraph":
+        """The graph without its unflagged pendant trees, built once.
+
+        A vertex of degree 1 whose edge is unflagged in both orientations is
+        removed until none is left; one vertex of a tree stays.  No
+        admissible closed walk enters such an edge (leaving the leaf means
+        reversing it), so the zeta and L-functions are those of the core.
+        Vertices and edges keep their input order, and the graph itself is
+        returned when nothing is removed."""
+        degree = {x: len(es) for x, es in self.out_edges.items()}
+        removed: set[str] = set()
+        stack = [x for x in reversed(self.vertices) if degree[x] == 1]
+        while stack:
+            x = stack.pop()
+            if degree[x] != 1:
+                continue
+            (y,) = [y for _, y in self.out_edges[x] if y not in removed]
+            if (x, y) in self.backtrack or (y, x) in self.backtrack:
+                continue
+            removed.add(x)
+            degree[y] -= 1
+            if degree[y] == 1:
+                stack.append(y)
+        if not removed:
+            return self
+        return WeightedGraph(
+            tuple(x for x in self.vertices if x not in removed),
+            tuple((u, v) for u, v in self.edges if u not in removed and v not in removed),
+            {e: w for e, w in self.weight.items() if e[0] not in removed and e[1] not in removed},
+            self.backtrack,
+        )
+
     def neighbors(self, x: str) -> list[str]:
         return [v for _, v in self.out_edges.get(x, ())]
 

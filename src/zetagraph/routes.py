@@ -4,7 +4,10 @@ against the cycle oracle.
 Every route returns Z(u)^{-1} as a truncated series.  The Fredholm route
 det(1 - uT) is normative; the factorization, block-determinant, partial
 product, and unit-weight routes are independent computations checked
-against it coefficient by coefficient.
+against it coefficient by coefficient.  Their matrices, and those of
+spectrum_poles, are built on the graph's leafless core (WeightedGraph.core),
+which has the same zeta and L-functions; applicability is judged on the
+graph itself.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
     """Z^{-1} = det(1 - uT) via power traces.  Works for any backtrack set.
 
     With a local system T is twisted and the result is the reciprocal
-    L-series; the zeta function is the trivial one-dimensional case."""
-    T = transfer_matrix(g, system)
+    L-series; the zeta function is the trivial one-dimensional case.  T is
+    built on g.core, which has the same determinant."""
+    T = transfer_matrix(g.core, system)
     return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": T.mat.shape[0]})
 
 
@@ -89,7 +93,10 @@ def _factorization(g: WeightedGraph, M: int, system=None) -> tuple[Series, int]:
     vertex dimension.  Equals det(1 - uT) for every backtrack set.
 
     With a local system of dimension d the incidence maps are twisted and
-    each roundtrip factor is raised to the power d."""
+    each roundtrip factor is raised to the power d.  Both factors are built
+    on g.core, so the pendant trees' roundtrip factors, which would cancel
+    against the vertex series, never enter."""
+    g = g.core
     ms = vertex_series(*incidence_maps(g, system), M)
     dim = 1 if system is None else system.dim
     return ms.det() * roundtrip_product(g, M, dim=dim), ms.dim
@@ -168,10 +175,13 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     theorem displays it.  The corrected variant matches the Fredholm route;
     the as-printed one is retained to document the discrepancy.  The
     determinant is taken as det(1 - uL) of the sparse companion of this
-    quadratic pencil in u, see _pencil_det."""
+    quadratic pencil in u, see _pencil_det.  The corrected variant is built
+    on g.core, the as-printed one on g itself."""
     _require_no_flags(g, "bass")
     if variant not in ("corrected", "as-printed"):
         raise ValueError(f"unknown variant {variant!r}")
+    if variant == "corrected":
+        g = g.core
     spread, endpoint, flip = (op.mat for op in incidence_maps(g))
     nv, ne = endpoint.shape
     corner = endpoint @ flip if variant == "as-printed" else endpoint @ flip @ flip
@@ -232,10 +242,12 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
 
 def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     """Unit-weight specialization (1-u^2)^{-chi} det(1 - uA + u^2 Q) with
-    chi the Euler number; valid only when every weight is 1."""
+    chi the Euler number; valid only when every weight is 1.  Built on
+    g.core, which has the same Euler number."""
     _require_no_flags(g, "classical")
     if not has_unit_weights(g):
         raise ValueError("classical route requires unit weights")
+    g = g.core
     nv = len(g.vertices)
     # L = [[A, -Q], [I, 0]] with Q = B_2 - I (valency - 1): the Ihara-Bass
     # matrix of Kotani and Sunada (2000)
@@ -303,12 +315,15 @@ POLE_DIMENSION_CAP = 2000
 
 def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
     """Poles of Z as reciprocal eigenvalues of the transfer operator,
-    clustered into multiplicities, sorted by modulus then argument."""
-    T = transfer_matrix(g)
-    if len(T.rows) > POLE_DIMENSION_CAP:
+    clustered into multiplicities, sorted by modulus then argument.
+
+    The cap applies to g's own edge dimension; T is built on g.core, whose
+    nonzero eigenvalues are those of g's transfer operator."""
+    if 2 * len(g.edges) > POLE_DIMENSION_CAP:
         raise ResourceCapError(
-            f"edge dimension {len(T.rows)} exceeds pole cap {POLE_DIMENSION_CAP}"
+            f"edge dimension {2 * len(g.edges)} exceeds pole cap {POLE_DIMENSION_CAP}"
         )
+    T = transfer_matrix(g.core)
     # thresholds are relative to ||T||_1, so scaling every weight by c scales
     # every pole by 1/c and leaves the multiplicities alone
     scale = np.asarray(abs(T.mat).sum(axis=0)).max(initial=0.0)

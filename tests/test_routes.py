@@ -67,7 +67,7 @@ def test_bass_variants_on_edges():
     expected = np.zeros(9)
     expected[0], expected[3], expected[6] = 1.0, -12.0, -180.0
     assert np.allclose(printed, expected, atol=1e-10)
-    assert zeta_bass(g, 4).metadata == {"variant": "corrected", "block_sizes": (2, 2)}
+    assert zeta_bass(g, 4).metadata == {"variant": "corrected", "block_sizes": (1, 0)}
     with pytest.raises(ValueError):
         zeta_bass(g, 4, variant="fixed")
 
@@ -254,6 +254,20 @@ def test_hard_determinants_are_refused_or_within_the_contract():
                     continue
                 ratio = contract_ratio(series.c, exact[: M + 1])
                 assert ratio <= 1, (len(g.vertices), route.__name__, M, ratio)
+
+
+@pytest.mark.xfail(strict=True, reason="sunada on K4(1.5) and K4(1.25) at M = 22 is "
+                   "130 and 3.46 times over the contract, and the interpolation check "
+                   "accepts it")
+def test_sunada_on_heavy_k4_below_order_24_is_refused_or_within_the_contract():
+    for weight in (1.5, 1.25):
+        g = complete_graph(4, weight)
+        exact = exact_fredholm(transfer_matrix(g).dense(), 22)
+        try:
+            series = zeta_sunada(g, 22).series
+        except ArithmeticError:
+            continue
+        assert contract_ratio(series.c, exact) <= 1, weight
 
 
 def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monkeypatch):
