@@ -154,16 +154,13 @@ def _cmd_primes(args) -> int:
     g, _ = _read_graph(args.file)
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
-    records = prime_cycles(g, args.max_len)
-    # each oriented edge's edge_sequence_label, formatted once
+    # one label table: each oriented edge's edge_sequence_label, formatted
+    # once, and the is_prime column
     labels = {e: edge_sequence_label((e,)) for e in g.oriented_edges()}
+    flags = ("false", "true")
     lines = ["length,weight,primitive_length,is_prime,edge_sequence"]
-    for rec in records:
-        flag = "true" if rec.is_prime else "false"
-        lines.append(
-            f"{rec.length},{_fmt(rec.weight)},{rec.primitive_length},{flag},"
-            f"{'|'.join([labels[e] for e in rec.edges])}"
-        )
+    lines += [f"{n},{_fmt(w)},{p},{flags[prime]},{'|'.join(map(labels.__getitem__, edges))}"
+              for edges, n, w, p, prime, _ in prime_cycles(g, args.max_len)]
     _emit(lines)
     return 0
 

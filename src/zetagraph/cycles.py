@@ -10,7 +10,7 @@ under that rule and nothing else does:
 - _closed_walks yields the admissible closed sequences rooted at each
   edge, as edge indices: all of them (closed_sequences), or only the
   necklaces, the sequences that are their own least rotation
-  (_cycle_classes, which sorts them for prime_cycles and euler_product);
+  (_cycle_classes for prime_cycles, and euler_product);
 - reduced_walks yields the vertex walks whose steps obey the rule; one
   traversal fills both vertex-path counting modes of compute_Nm, kept only
   as diagnostics (see tail_mode_report), and it feeds the direct path-sum
@@ -24,11 +24,15 @@ can close, and a branch that cannot close within the bound is never
 pushed.  In necklace mode it extends only prenecklaces, by the
 Fredricksen-Kessler-Maiorana rule (Cattell et al., J. Algorithms 2000), so
 each rotation class is met once, rooted at its least rotation, with its
-least period known from the walk itself.  Index order is canonical order,
-so sorting index sequences sorts the edge sequences they stand for:
-euler_product reads each prime's length and weight straight from the
-sorted classes and maps a prime back to edges only for its holonomy, and
-prime_cycles and closed_sequences map every sequence back to edges.
+least period known from the walk itself.  The walk is a lexicographic
+preorder (successors entered smallest first), and the rule generates
+prenecklaces in lexicographic order, so each length's sequences come out
+sorted and nothing is sorted afterwards: the callers only bucket them by
+length.  Index order is canonical order, so the edge sequences the indices
+stand for are sorted too: euler_product reads each prime's length and
+weight straight from the walk and maps a prime back to edges only for its
+holonomy, and prime_cycles and closed_sequences map every sequence back to
+edges.
 
 Both generators are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -84,12 +88,19 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
     canonical_order(g)[1]; the weight is the in-order product of the edge
     weights.
 
+    The walk is a lexicographic preorder: a walk is yielded before its
+    extensions, and successors are pushed largest first so that they are
+    entered smallest first.  The sequences therefore come out in increasing
+    tuple order, and so do those of each length.
+
     Edges are indices in canonical order with successor lists built once
     from _step_ok.  For each root s a backward breadth-first search over
     predecessors gives dist[i], the fewest further edges before a walk
     ending at edge i can step back onto s (0 where it closes now); a
     continuation is pushed only when its length plus dist stays within L,
-    and a root that cannot return within L is skipped.
+    and a root that cannot return within L is skipped.  Successor lists are
+    kept largest first, so a walk stops scanning them at the first edge
+    below the prenecklace bound.
 
     necklaces keeps only sequences that are their own least rotation, so
     every rotation class appears once, rooted at its least edge.  The walk
@@ -105,7 +116,9 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
     edges = canonical_order(g)[1]
     index = {e: i for i, e in enumerate(edges)}
     weight = [g.weight[e] for e in edges]
-    succ = [[index[e2] for e2 in g.out_edges[e[1]] if _step_ok(g, e, e2)] for e in edges]
+    # successors largest first: pushed in this order, they pop smallest first
+    succ = [[index[e2] for e2 in reversed(g.out_edges[e[1]]) if _step_ok(g, e, e2)]
+            for e in edges]
     pred = [[] for _ in edges]
     for i, js in enumerate(succ):
         for j in js:
@@ -114,18 +127,23 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
         dist = _return_distances(pred, s, s if necklaces else 0, L)
         if dist[s] >= L:
             continue
-        stack = [((s,), weight[s], 1)]
+        # a walk may grow onto edge j up to length room[j] and still close
+        room = [L - d for d in dist]
+        stack = [((s,), s, weight[s], 1)]
         while stack:
-            seq, wgt, p = stack.pop()
+            seq, last, wgt, p = stack.pop()
             n = len(seq)
-            if not dist[seq[-1]] and not n % p:
+            if not dist[last] and not n % p:
                 yield seq, wgt, p
             if n >= L:
                 continue
             b = seq[n - p] if necklaces else -1
-            for j in succ[seq[-1]]:
-                if j >= b and n + 1 + dist[j] <= L:
-                    stack.append((seq + (j,), wgt * weight[j], p if j == b else n + 1))
+            n += 1
+            for j in succ[last]:
+                if j < b:
+                    break
+                if n <= room[j]:
+                    stack.append((seq + (j,), j, wgt * weight[j], p if j == b else n))
 
 
 def reduced_walks(g: WeightedGraph, L: int):
@@ -157,11 +175,10 @@ def closed_sequences(
     appear as distinct rooted sequences.
     """
     out: dict[int, list] = {n: [] for n in range(1, L + 1)}
-    for seq, wgt, _ in _closed_walks(g, L, necklaces=False):
-        out[len(seq)].append((seq, wgt))
     edges = canonical_order(g)[1]
-    return {n: [(tuple(map(edges.__getitem__, seq)), wgt) for seq, wgt in sorted(items)]
-            for n, items in out.items()}
+    for seq, wgt, _ in _closed_walks(g, L, necklaces=False):
+        out[len(seq)].append((tuple(map(edges.__getitem__, seq)), wgt))
+    return out
 
 
 def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
@@ -223,11 +240,13 @@ class CycleRecord(NamedTuple):
 
 def _cycle_classes(g: WeightedGraph, L: int) -> list[tuple[int, tuple[int, ...], float, int]]:
     """Every cycle class of length <= L as (length, index sequence, weight,
-    period), sorted by length and then index sequence.  Each class occurs
-    once, so the sort never compares weights."""
-    classes = [(len(seq), seq, wgt, p) for seq, wgt, p in _closed_walks(g, L, necklaces=True)]
-    classes.sort()
-    return classes
+    period), sorted by length and then index sequence: the walk yields each
+    length's classes in sequence order, so per-length buckets concatenate to
+    the sorted list."""
+    buckets: list[list] = [[] for _ in range(L + 1)]
+    for seq, wgt, p in _closed_walks(g, L, necklaces=True):
+        buckets[len(seq)].append((len(seq), seq, wgt, p))
+    return [c for bucket in buckets for c in bucket]
 
 
 def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
@@ -264,19 +283,22 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     polynomial sum_k a_k t^k of H_p, det(1 - t H_p), at t = w(p) u^{l(p)}:
     a sparse polynomial in u^{l(p)} with coefficients a_k w(p)^k, applied in
     place by times_sparse.  Without a local system H_p = 1 and the
-    polynomial is 1 - t.  The primes are read straight from the sorted
-    classes, with no records; a prime's holonomy, when there is a system,
-    is taken from its own edges.
+    polynomial is 1 - t.  The primes are read straight from the walk, with
+    no records, into one bucket per length, so that the factors come in the
+    order of prime_cycles with no sort; a prime's holonomy, when there is a
+    system, is taken from its own edges.
     """
     edges = canonical_order(g)[1]
-    factors = []
-    for n, seq, wgt, period in _cycle_classes(g, M):
+    buckets: list[list] = [[] for _ in range(M + 1)]
+    for seq, wgt, period in _closed_walks(g, M, necklaces=True):
+        n = len(seq)
         if period == n:
-            if system is None:
-                charpoly = (1.0, -1.0)
-            else:
-                cycle = tuple(map(edges.__getitem__, seq))
-                charpoly = fredholm_det(holonomy(system, cycle), system.dim).c
             w = float(wgt)
-            factors.append(([a * w ** k for k, a in enumerate(charpoly)], n))
-    return times_sparse(Series.one(M), factors)
+            if system is None:
+                # the general form below gives exactly this for (1.0, -1.0)
+                buckets[n].append(((1.0, -w), n))
+                continue
+            cycle = tuple(map(edges.__getitem__, seq))
+            charpoly = fredholm_det(holonomy(system, cycle), system.dim).c
+            buckets[n].append(([a * w ** k for k, a in enumerate(charpoly)], n))
+    return times_sparse(Series.one(M), [f for bucket in buckets for f in bucket])

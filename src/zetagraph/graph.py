@@ -10,7 +10,9 @@ flag set recovers the plain non-backtracking theory.
 
 All operator modules index their matrices by the canonical order returned
 from :func:`canonical_order`: vertices sorted lexicographically, oriented
-edges sorted lexicographically by (origin, target).
+edges sorted lexicographically by (origin, target).  A graph sorts its bases
+once, and builds the NumPy arrays over them (:attr:`WeightedGraph.edge_arrays`)
+once, the way it builds its leafless core once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import GraphFormatError, GraphValidationError
 
@@ -27,6 +31,20 @@ OrientedEdge = tuple[str, str]
 
 def reverse(e: OrientedEdge) -> OrientedEdge:
     return (e[1], e[0])
+
+
+class EdgeArrays(NamedTuple):
+    """Canonical bases and, per oriented edge in canonical order, read-only
+    arrays of origin and target vertex indices, the index of the reversal,
+    the weight and whether the edge is unflagged."""
+
+    verts: tuple[str, ...]
+    edges: tuple[OrientedEdge, ...]
+    origin: np.ndarray
+    target: np.ndarray
+    reversal: np.ndarray
+    weight: np.ndarray
+    unflagged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,29 @@ class WeightedGraph:
             out.setdefault(u, []).append((u, v))
             out.setdefault(v, []).append((v, u))
         return {x: tuple(sorted(es)) for x, es in out.items()}
+
+    @cached_property
+    def _canonical(self) -> tuple[tuple[str, ...], tuple[OrientedEdge, ...]]:
+        """Sorted vertices and sorted oriented edges, built once."""
+        return tuple(sorted(self.vertices)), tuple(sorted(self.oriented_edges()))
+
+    @cached_property
+    def edge_arrays(self) -> EdgeArrays:
+        """The arrays over the canonical oriented edges that the operators
+        are assembled from, built once and read-only."""
+        verts, edges = self._canonical
+        vi = {x: i for i, x in enumerate(verts)}
+        origin = np.array([vi[x] for x, _ in edges], dtype=np.int64)
+        target = np.array([vi[y] for _, y in edges], dtype=np.int64)
+        # canonical order sorts edges by (origin, target), so this key increases
+        key = origin * len(verts) + target
+        reversal = np.searchsorted(key, target * len(verts) + origin)
+        weight = np.array([self.weight[e] for e in edges], dtype=np.float64)
+        unflagged = np.array([e not in self.backtrack for e in edges], dtype=bool)
+        arrays = (origin, target, reversal, weight, unflagged)
+        for a in arrays:
+            a.flags.writeable = False
+        return EdgeArrays(verts, edges, *arrays)
 
     @cached_property
     def core(self) -> "WeightedGraph":
@@ -256,10 +297,10 @@ def _girth(g: WeightedGraph) -> int:
 
 
 def canonical_order(g: WeightedGraph) -> tuple[list[str], list[OrientedEdge]]:
-    """Deterministic bases: sorted vertices, sorted oriented edges."""
-    verts = sorted(g.vertices)
-    edges = sorted(g.oriented_edges())
-    return verts, edges
+    """Deterministic bases: sorted vertices, sorted oriented edges.  The sort
+    runs once per graph; each call returns fresh lists."""
+    verts, edges = g._canonical
+    return list(verts), list(edges)
 
 
 # ---------------------------------------------------------------------------

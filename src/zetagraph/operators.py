@@ -2,17 +2,19 @@
 
 Bases always follow :func:`zetagraph.graph.canonical_order`.  Every matrix
 is compressed sparse row.  :func:`incidence_maps` builds the three maps
-between vertex and edge space (spread, endpoint, flip), and
-:func:`zigzag_matrix` the zigzag operators, from NumPy arrays over the
-canonical oriented edges: origin and target vertex indices, the index of
-each edge's reversal, the weights and the unflagged mask, plus for the
-maps the (|OE|, d, d) stack of transports of a local system (all ones
-without one, so the untwisted maps are its d = 1 case).  The CSR arrays
-are written straight from these, in sorted order and without the zero
-entries of a block; :func:`transfer_matrix` derives the transfer operator
-T from the maps.  The vertex-space factorization series built from these
-maps and the roundtrip product live here too; the determinant routes use
-them for the zeta function and, with a local system, for the L-function.
+between vertex and edge space (spread, endpoint, flip),
+:func:`transfer_matrix` the transfer operator T, and :func:`zigzag_matrix`
+the zigzag operators, all from the NumPy arrays over the canonical
+oriented edges that the graph builds once (``WeightedGraph.edge_arrays``):
+origin and target vertex indices, the index of each edge's reversal, the
+weights and the unflagged mask, plus for the maps and T the (|OE|, d, d)
+stack of transports of a local system (all ones without one, so the
+untwisted operators are its d = 1 case).  The CSR arrays are written
+straight from these in one pass per operator, in sorted order and without
+the zero entries of a block, with no scipy product or difference.  The
+vertex-space factorization series built from these maps and the roundtrip
+product live here too; the determinant routes use them for the zeta
+function and, with a local system, for the L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -22,6 +24,10 @@ W(e) = w(e) * w(e reversed).
 
 Backtrack flags. A flagged edge e may be followed by its reversal, so the
 flip sends e to zero, and T = spread . endpoint - flip for every flag set.
+T and the maps read the rule in one place, _flipped: its edges are the
+flip's rows and the rows of T that drop their reversal, so T is that
+difference without forming it.  The zigzag orders apply their own
+admission rule to shuttles along one edge.
 The flip is block diagonal over unoriented pairs, and det(1 - u flip) is the
 roundtrip product over the pairs with no flagged orientation.  Hence
 det(1 - uT) = det(vertex series) * roundtrip product for every flag set
@@ -62,22 +68,6 @@ class LinearOperator:
         return LinearOperator(self.rows, other.cols, self.mat @ other.mat)
 
 
-def _edge_arrays(g: WeightedGraph):
-    """Canonical bases and, per oriented edge in canonical order, NumPy
-    arrays of origin and target vertex indices, the index of the reversal,
-    the weight and whether the edge is unflagged."""
-    verts, edges = canonical_order(g)
-    vi = {x: i for i, x in enumerate(verts)}
-    origin = np.array([vi[x] for x, _ in edges], dtype=np.int64)
-    target = np.array([vi[y] for _, y in edges], dtype=np.int64)
-    # canonical order sorts edges by (origin, target), so this key increases
-    key = origin * len(verts) + target
-    reversal = np.searchsorted(key, target * len(verts) + origin)
-    weight = np.array([g.weight[e] for e in edges], dtype=np.float64)
-    unflagged = np.array([e not in g.backtrack for e in edges], dtype=bool)
-    return verts, edges, origin, target, reversal, weight, unflagged
-
-
 def _block_csr(rows, cols, row_block, col_block, blocks: np.ndarray) -> LinearOperator:
     """CSR operator holding the d x d block blocks[b] at block position
     (row_block[b], col_block[b]); the blocks come sorted by that position.
@@ -111,7 +101,7 @@ def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     d, each vertex and edge carries a fiber C^d, edge fibers trivialized at
     the origin vertex, and U_e is the d x d block ``system.transport(e)``.
 
-    The maps come from arrays over the canonical edges (see _edge_arrays)
+    The maps come from the graph's arrays over the canonical edges
     and the (|OE|, d, d) stack of transports, all ones without a system, so
     the untwisted maps are the d = 1 case of one build.  Each block row
     lists its blocks in column order: spread's row e holds w(e) I at o(e),
@@ -119,16 +109,11 @@ def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     endpoint's block row x holds U_(e^-1) at e^-1 for the out-edges e of x,
     whose reversals are the edges into x, in canonical order.
     """
-    verts, edges, origin, _, reversal, weight, unflagged = _edge_arrays(g)
-    if system is None:
-        transports = np.ones((len(edges), 1, 1))
-    else:
-        d = system.dim
-        transports = np.array([system.transport(e) for e in edges],
-                              dtype=np.complex128).reshape(len(edges), d, d)
+    verts, edges, origin, _, reversal, weight, _ = g.edge_arrays
+    transports = _transports(edges, system)
     scale = weight[:, None, None]
     into = transports[reversal]
-    flipped = np.flatnonzero(unflagged[reversal])
+    flipped = _flipped(g)
     return (
         _block_csr(edges, verts, np.arange(len(edges)), origin,
                    scale * np.eye(transports.shape[1], dtype=transports.dtype)),
@@ -137,19 +122,54 @@ def incidence_maps(g: WeightedGraph, system=None) -> tuple[LinearOperator, ...]:
     )
 
 
+def _transports(edges, system) -> np.ndarray:
+    """The (|OE|, d, d) stack of transports over the edges; all ones, d = 1,
+    without a system."""
+    if system is None:
+        return np.ones((len(edges), 1, 1))
+    d = system.dim
+    return np.array([system.transport(e) for e in edges],
+                    dtype=np.complex128).reshape(len(edges), d, d)
+
+
+def _flipped(g: WeightedGraph) -> np.ndarray:
+    """The edges e whose reversal is unflagged: the rows of the flip, and
+    the rows of T that may not continue from their reversal.  The maps and
+    T read the backtrack flags here only."""
+    arrays = g.edge_arrays
+    return np.flatnonzero(arrays.unflagged[arrays.reversal])
+
+
 def transfer_matrix(g: WeightedGraph, system=None) -> LinearOperator:
     """Weighted non-backtracking (Hashimoto) operator T on oriented edges,
     twisted by a local system if one is given.
 
     Column e holds w(e') U_e at row e' for every continuation e' with
     o(e') = t(e); the reversal e' = e^{-1} is excluded unless e carries the
-    backtrack flag.  Built as T = spread . endpoint - flip: the product puts
-    w(e') U_e at every continuation, reversal included, and the flip removes
-    the reversal exactly where it is not allowed.
+    backtrack flag.  This is T = spread . endpoint - flip, assembled in one
+    pass from the edge arrays: row e holds w(e) U_f at every f into o(e),
+    the reversals of the out-edges of o(e), which come in column order,
+    except f = e^{-1} when e is one of the flip's rows (_flipped).  The
+    entries are those of scipy's product and difference bit for bit, which
+    the tests check: each is the one product w(e) U_f, and scipy sums it
+    from zero, which turns a -0.0 part into 0.0, as adding 0.0 does here.
     """
-    spread, endpoint, flip = incidence_maps(g, system)
-    T = (spread @ endpoint).mat - flip.mat
-    return LinearOperator(flip.rows, flip.cols, T)
+    verts, edges, origin, _, reversal, weight, _ = g.edge_arrays
+    transports = _transports(edges, system)
+    # out-edges of each vertex are contiguous in canonical order, and their
+    # reversals, the edges into it, increase with them
+    first = np.searchsorted(origin, np.arange(len(verts) + 1))
+    count = np.diff(first)[origin]
+    row = np.repeat(np.arange(len(edges)), count)
+    # row e's entries start at offset[e]; its i-th is out-edge first[o(e)] + i
+    offset = np.cumsum(count) - count
+    out = np.arange(len(row)) + np.repeat(first[origin] - offset, count)
+    # in the flip's rows, drop f = e^-1: the entry of out-edge e itself
+    flipped = _flipped(g)
+    keep = np.ones(len(row), dtype=bool)
+    keep[offset[flipped] + flipped - first[origin[flipped]]] = False
+    row, col = row[keep], reversal[out[keep]]
+    return _block_csr(edges, edges, row, col, weight[row, None, None] * transports[col] + 0.0)
 
 
 def vertex_series(
@@ -192,7 +212,7 @@ def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    verts, _, origin, target, reversal, weight, unflagged = _edge_arrays(g)
+    verts, _, origin, target, reversal, weight, unflagged = g.edge_arrays
     index = np.arange(len(verts))
     if n == 0:
         return _block_csr(verts, verts, index, index, np.ones((len(verts), 1, 1)))

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import complex_times_sparse, random_graph, random_unitary
 from zetagraph import fixtures
+from zetagraph.cli import main
 from zetagraph.cycles import (
     CycleRecord,
+    _closed_walks,
+    _cycle_classes,
     closed_sequences,
     compute_Nm,
     edge_sequence_label,
@@ -16,9 +19,9 @@ from zetagraph.cycles import (
     tail_mode_report,
 )
 from zetagraph.errors import ResourceCapError
-from zetagraph.graph import canonical_order, make_graph, reverse
+from zetagraph.graph import canonical_order, make_graph, reverse, serialize_graph
 from zetagraph.operators import reduced_path_matrix_direct, transfer_matrix
-from zetagraph.series import Series, fredholm_det, max_deviation
+from zetagraph.series import Series, _fmt, fredholm_det, max_deviation, times_sparse
 from zetagraph.twist import make_local_system
 
 CAT = fixtures.catalogue()
@@ -274,3 +277,74 @@ def test_enumeration_matches_unpruned_reference(rng):
             for sys_ in (None, system):
                 assert (euler_product(g, L, system=sys_).c.tobytes()
                         == _reference_euler_product(g, L, sys_).tobytes())
+
+
+def _sorted_classes(g, L):
+    """The necklaces of _closed_walks as (length, index sequence, weight,
+    period), sorted explicitly."""
+    return sorted((len(seq), seq, wgt, p) for seq, wgt, p in _closed_walks(g, L, necklaces=True))
+
+
+def _sorted_records(classes, edges, system):
+    records = []
+    for n, seq, wgt, period in classes:
+        cycle = tuple(edges[i] for i in seq)
+        records.append(CycleRecord(cycle, n, float(wgt), period, period == n,
+                                   holonomy(system, cycle) if system else None))
+    return records
+
+
+def _sorted_euler_product(records, M, system):
+    """euler_product's factors in the order of the sorted records, each from
+    the general characteristic-polynomial form."""
+    factors = []
+    for rec in records:
+        if rec.is_prime:
+            charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
+            w = rec.weight
+            factors.append(([a * w ** k for k, a in enumerate(charpoly)], rec.length))
+    return times_sparse(Series.one(M), factors)
+
+
+def _primes_csv(records):
+    """The primes command's rows, formatted one record at a time."""
+    lines = ["length,weight,primitive_length,is_prime,edge_sequence"]
+    for rec in records:
+        lines.append(f"{rec.length},{_fmt(rec.weight)},{rec.primitive_length},"
+                     f"{'true' if rec.is_prime else 'false'},{edge_sequence_label(rec.edges)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_walk_order_replaces_sorts(rng, tmp_path, capsys):
+    """The walk yields each length's sequences in increasing order, so no
+    sort is needed: _cycle_classes equals its sorted self, every per-length
+    list of closed_sequences is sorted, and prime_cycles, euler_product and
+    the primes command's output are byte-identical to versions built from
+    explicitly sorted classes, at every length bound 1..12, on the fixtures
+    and on random flagged graphs, plain and twisted."""
+    graphs = list(CAT.values()) + [_pendant_chains()]
+    graphs += [random_graph(rng, max_vertices=6, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(4)]
+    for i, g in enumerate(graphs):
+        edges = canonical_order(g)[1]
+        system = make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})
+        reference = _sorted_classes(g, 12)
+        path = tmp_path / f"g{i}.json"
+        path.write_text(serialize_graph(g) + "\n")
+        for L in range(1, 13):
+            classes = [c for c in reference if c[0] <= L]
+            assert _cycle_classes(g, L) == classes == sorted(_cycle_classes(g, L))
+            seqs = closed_sequences(g, L)
+            assert all(items == sorted(items) for items in seqs.values())
+            for sys_ in (None, system):
+                records = _sorted_records(classes, edges, sys_)
+                got = prime_cycles(g, L, system=sys_)
+                assert [r[:5] for r in got] == [r[:5] for r in records]
+                assert [r.weight.hex() for r in got] == [r.weight.hex() for r in records]
+                if sys_ is not None:
+                    assert all(a.holonomy.tobytes() == b.holonomy.tobytes()
+                               for a, b in zip(got, records))
+                assert (euler_product(g, L, system=sys_).c.tobytes()
+                        == _sorted_euler_product(records, L, sys_).c.tobytes())
+            assert main(["primes", str(path), "--max-len", str(L)]) == 0
+            assert capsys.readouterr().out == _primes_csv(_sorted_records(classes, edges, None))

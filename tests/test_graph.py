@@ -9,6 +9,7 @@ from zetagraph import fixtures
 from zetagraph.cycles import prime_cycles
 from zetagraph.errors import GraphFormatError, GraphValidationError
 from zetagraph.graph import (
+    WeightedGraph,
     canonical_order,
     graph_stats,
     make_graph,
@@ -17,7 +18,8 @@ from zetagraph.graph import (
     serialize_graph,
     validate,
 )
-from zetagraph.operators import transfer_matrix
+from zetagraph.operators import incidence_maps, transfer_matrix, zigzag_matrix
+from zetagraph.routes import cross_validate
 from zetagraph.series import fredholm_det
 
 
@@ -263,3 +265,52 @@ def test_graph_is_frozen():
     assert g == fixtures.triangle()
     with pytest.raises(AttributeError):
         g.vertices = ()
+
+
+def test_canonical_order_returns_fresh_lists():
+    """The bases are sorted once per graph, and each call hands out new
+    lists: mutating one leaves the next call's lists alone."""
+    g = make_graph(["c", "a", "b"], [("c", "a", 1, 2), ("a", "b", 3, 4)])
+    first, second = canonical_order(g), canonical_order(g)
+    assert first == second == (["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")])
+    assert first[0] is not second[0] and first[1] is not second[1]
+    first[0].append("z")
+    first[1].clear()
+    assert canonical_order(g) == second
+
+
+def test_edge_arrays_built_once_per_graph_and_read_only(monkeypatch):
+    """One build of the edge arrays per graph object serves every operator
+    and every route of a check; the arrays cannot be written.  A core that
+    is a different object builds and keeps its own."""
+    builds = []
+    prop = WeightedGraph.__dict__["edge_arrays"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda g: builds.append(g) or build(g))
+
+    k4 = fixtures.complete4()
+    arrays = k4.edge_arrays
+    incidence_maps(k4)
+    transfer_matrix(k4)
+    for n in range(4):
+        zigzag_matrix(k4, n)
+    cross_validate(k4, 8)
+    assert k4.core is k4 and k4.edge_arrays is arrays and builds == [k4]
+    assert arrays.edges == tuple(canonical_order(k4)[1])
+    assert arrays.verts == tuple(canonical_order(k4)[0])
+    for a in arrays[2:]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+    # a triangle with a two-edge pendant path: the core drops the path
+    g = make_graph("abcde", [("a", "b", 0.5, 0.4), ("b", "c", 0.3, 0.6), ("c", "a", 0.7, 0.2),
+                             ("c", "d", 0.5, 0.5), ("d", "e", 0.5, 0.5)])
+    builds.clear()
+    cross_validate(g, 8)
+    core = g.core
+    assert core is not g and builds == [core]
+    assert "edge_arrays" not in vars(g)
+    assert len(g.edge_arrays.edges) == 10 and len(core.edge_arrays.edges) == 6
+    assert builds == [core, g]
+    assert core.edge_arrays is not g.edge_arrays and canonical_order(core) != canonical_order(g)

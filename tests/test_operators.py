@@ -111,6 +111,36 @@ def test_transfer_is_canonical_csr(rng):
             assert transfer_matrix(g, system).mat.has_canonical_format
 
 
+def test_transfer_is_the_scipy_product_bit_for_bit(rng):
+    """The one-pass T equals scipy's spread @ endpoint - flip in indptr,
+    indices and data bytes, dtypes and canonical format: on the fixtures and
+    60 random graphs without flags, with two-sided and with one-sided flags,
+    untwisted, under a 1-dim sign system, 2-dim unitary systems and a real
+    orthogonal 2-dim system (whose reversals carry -0.0 imaginary parts)."""
+    graphs = list(CAT.values())
+    graphs += [random_graph(rng, max_vertices=8, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(20)]
+    cases = 0
+    for g in graphs:
+        orthogonal = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        systems = [None,
+                   make_local_system(g, 1, {e: [[-1.0]] for e in g.edges[::2]}),
+                   make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges}),
+                   make_local_system(g, 2, {e: orthogonal for e in g.edges})]
+        for system in systems:
+            spread, endpoint, flip = incidence_maps(g, system)
+            ref = (spread @ endpoint).mat - flip.mat
+            T = transfer_matrix(g, system)
+            assert (T.rows, T.cols) == (flip.rows, flip.cols)
+            assert T.mat.shape == ref.shape
+            for x, y in zip((T.mat.indptr, T.mat.indices, T.mat.data),
+                            (ref.indptr, ref.indices, ref.data)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert T.mat.has_canonical_format and ref.has_canonical_format
+            cases += 1
+    assert cases == 4 * 68
+
+
 def _old_materialize(rows, cols, triplets, d=1, dtype=np.float64, store_zeros=False):
     """The triplet-to-CSR step of the old builder, through COO; store_zeros
     keeps every block entry, as it once did."""
