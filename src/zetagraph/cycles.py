@@ -4,13 +4,13 @@ are validated against.
 A closed edge sequence (e_1, ..., e_n) is admissible when consecutive edges
 compose and every step, the wrap-around seam included, obeys the
 non-backtracking rule of _step_ok: e' = e reversed is forbidden unless e
-carries the backtrack flag.  Two depth-first generators walk the graph
+carries the backtrack flag.  Two depth-first walks traverse the graph
 under that rule and nothing else does:
 
-- _closed_walks yields the admissible closed sequences rooted at each
-  edge, as edge indices: all of them (closed_sequences), or only the
-  necklaces, the sequences that are their own least rotation
-  (_cycle_classes for prime_cycles, and euler_product);
+- _closed_walks returns the admissible closed sequences rooted at each
+  edge, as edge indices grouped by length: all of them (closed_sequences
+  and compute_Nm), or only the necklaces, the sequences that are their own
+  least rotation (prime_cycles and euler_product);
 - reduced_walks yields the vertex walks whose steps obey the rule; one
   traversal fills both vertex-path counting modes of compute_Nm, kept only
   as diagnostics (see tail_mode_report), and it feeds the direct path-sum
@@ -26,15 +26,15 @@ Fredricksen-Kessler-Maiorana rule (Cattell et al., J. Algorithms 2000), so
 each rotation class is met once, rooted at its least rotation, with its
 least period known from the walk itself.  The walk is a lexicographic
 preorder (successors entered smallest first), and the rule generates
-prenecklaces in lexicographic order, so each length's sequences come out
-sorted and nothing is sorted afterwards: the callers only bucket them by
-length.  Index order is canonical order, so the edge sequences the indices
-stand for are sorted too: euler_product reads each prime's length and
-weight straight from the walk and maps a prime back to edges only for its
-holonomy, and prime_cycles and closed_sequences map every sequence back to
-edges.
+prenecklaces in lexicographic order, so each length's group comes out
+sorted and the callers read the groups as they are.  Index order is
+canonical order, so the edge sequences the indices stand for are sorted
+too: compute_Nm sums the weights, euler_product reads each prime's length
+and weight straight from the walk and maps a prime back to edges only for
+its holonomy, and prime_cycles and closed_sequences map every sequence
+back to edges.
 
-Both generators are exponential in the length bound and intended for small
+Both walks are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
 """
 
@@ -81,17 +81,18 @@ def _return_distances(pred: list[list[int]], s: int, lo: int, L: int) -> list[in
     return dist
 
 
-def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
-    """Yield (sequence, weight, period) for every admissible closed edge
-    sequence of length 1..L, depth first from each root edge in canonical
-    order.  The sequence is a tuple of edge indices into
-    canonical_order(g)[1]; the weight is the in-order product of the edge
-    weights.
+def _closed_walks(g: WeightedGraph, L: int, necklaces: bool) -> list[list[tuple]]:
+    """The admissible closed edge sequences of length 1..L grouped by
+    length: entry n of the returned list (n = 0..L, entry 0 empty) holds the
+    (sequence, weight, period) triples of length n in increasing order.  The
+    sequence is a tuple of edge indices into canonical_order(g)[1]; the
+    weight is the in-order product of the edge weights.
 
-    The walk is a lexicographic preorder: a walk is yielded before its
-    extensions, and successors are pushed largest first so that they are
-    entered smallest first.  The sequences therefore come out in increasing
-    tuple order, and so do those of each length.
+    The walk runs depth first from each root edge in canonical order, as a
+    lexicographic preorder: a walk is met before its extensions, and
+    successors are pushed largest first so that they are entered smallest
+    first.  The sequences are therefore met in increasing tuple order, and
+    each group is filled in that order.
 
     Edges are indices in canonical order with successor lists built once
     from _step_ok.  For each root s a backward breadth-first search over
@@ -109,7 +110,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
     of length n, edge j may follow only if j >= seq[n - p]; p stays when
     j = seq[n - p] and becomes n + 1 otherwise.  A closed prenecklace is a
     necklace exactly when p divides n, and p is then its least period.
-    Without necklaces every closed sequence is yielded and period is its
+    Without necklaces every closed sequence is kept and period is its
     length.
     """
     _check_length(L)
@@ -123,6 +124,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
     for i, js in enumerate(succ):
         for j in js:
             pred[j].append(i)
+    groups: list[list[tuple]] = [[] for _ in range(L + 1)]
     for s in range(len(edges)):
         dist = _return_distances(pred, s, s if necklaces else 0, L)
         if dist[s] >= L:
@@ -134,7 +136,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
             seq, last, wgt, p = stack.pop()
             n = len(seq)
             if not dist[last] and not n % p:
-                yield seq, wgt, p
+                groups[n].append((seq, wgt, p))
             if n >= L:
                 continue
             b = seq[n - p] if necklaces else -1
@@ -144,6 +146,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool):
                     break
                 if n <= room[j]:
                     stack.append((seq + (j,), j, wgt * weight[j], p if j == b else n))
+    return groups
 
 
 def reduced_walks(g: WeightedGraph, L: int):
@@ -174,11 +177,10 @@ def closed_sequences(
     The total weight at length n equals tr T^n; rotations of one cycle
     appear as distinct rooted sequences.
     """
-    out: dict[int, list] = {n: [] for n in range(1, L + 1)}
     edges = canonical_order(g)[1]
-    for seq, wgt, _ in _closed_walks(g, L, necklaces=False):
-        out[len(seq)].append((tuple(map(edges.__getitem__, seq)), wgt))
-    return out
+    groups = _closed_walks(g, L, necklaces=False)
+    return {n: [(tuple(map(edges.__getitem__, seq)), wgt) for seq, wgt, _ in groups[n]]
+            for n in range(1, L + 1)}
 
 
 def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
@@ -193,8 +195,8 @@ def compute_Nm(g: WeightedGraph, L: int, mode: str = "strict") -> list[float]:
     strict).  Both are diagnostics for flagged graphs.
     """
     if mode == "strict":
-        seqs = closed_sequences(g, L)
-        return [float(sum(w for _, w in seqs[n])) for n in range(1, L + 1)]
+        groups = _closed_walks(g, L, necklaces=False)[1:]
+        return [float(sum(wgt for _, wgt, _ in group)) for group in groups]
     if mode not in ("printed", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
     return _vertex_path_totals(g, L)[mode]
@@ -238,27 +240,17 @@ class CycleRecord(NamedTuple):
     holonomy: np.ndarray | None = None
 
 
-def _cycle_classes(g: WeightedGraph, L: int) -> list[tuple[int, tuple[int, ...], float, int]]:
-    """Every cycle class of length <= L as (length, index sequence, weight,
-    period), sorted by length and then index sequence: the walk yields each
-    length's classes in sequence order, so per-length buckets concatenate to
-    the sorted list."""
-    buckets: list[list] = [[] for _ in range(L + 1)]
-    for seq, wgt, p in _closed_walks(g, L, necklaces=True):
-        buckets[len(seq)].append((len(seq), seq, wgt, p))
-    return [c for bucket in buckets for c in bucket]
-
-
 def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
     edges = canonical_order(g)[1]
     records = []
-    for n, seq, wgt, period in _cycle_classes(g, L):
-        cycle = tuple(map(edges.__getitem__, seq))
-        records.append(CycleRecord(cycle, n, float(wgt), period, period == n,
-                                   holonomy(system, cycle) if system else None))
+    for n, group in enumerate(_closed_walks(g, L, necklaces=True)):
+        for seq, wgt, period in group:
+            cycle = tuple(map(edges.__getitem__, seq))
+            records.append(CycleRecord(cycle, n, float(wgt), period, period == n,
+                                       holonomy(system, cycle) if system else None))
     return records
 
 
@@ -283,22 +275,23 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     polynomial sum_k a_k t^k of H_p, det(1 - t H_p), at t = w(p) u^{l(p)}:
     a sparse polynomial in u^{l(p)} with coefficients a_k w(p)^k, applied in
     place by times_sparse.  Without a local system H_p = 1 and the
-    polynomial is 1 - t.  The primes are read straight from the walk, with
-    no records, into one bucket per length, so that the factors come in the
-    order of prime_cycles with no sort; a prime's holonomy, when there is a
-    system, is taken from its own edges.
+    polynomial is 1 - t.  The primes are read straight from the walk's
+    groups, with no records, so the factors come in the order of
+    prime_cycles; a prime's holonomy, when there is a system, is taken from
+    its own edges.
     """
     edges = canonical_order(g)[1]
-    buckets: list[list] = [[] for _ in range(M + 1)]
-    for seq, wgt, period in _closed_walks(g, M, necklaces=True):
-        n = len(seq)
-        if period == n:
+    factors = []
+    for n, group in enumerate(_closed_walks(g, M, necklaces=True)):
+        for seq, wgt, period in group:
+            if period < n:
+                continue
             w = float(wgt)
             if system is None:
                 # the general form below gives exactly this for (1.0, -1.0)
-                buckets[n].append(((1.0, -w), n))
+                factors.append(((1.0, -w), n))
                 continue
             cycle = tuple(map(edges.__getitem__, seq))
             charpoly = fredholm_det(holonomy(system, cycle), system.dim).c
-            buckets[n].append(([a * w ** k for k, a in enumerate(charpoly)], n))
-    return times_sparse(Series.one(M), [f for bucket in buckets for f in bucket])
+            factors.append(([a * w ** k for k, a in enumerate(charpoly)], n))
+    return times_sparse(Series.one(M), factors)

@@ -9,7 +9,6 @@ from zetagraph.cli import main
 from zetagraph.cycles import (
     CycleRecord,
     _closed_walks,
-    _cycle_classes,
     closed_sequences,
     compute_Nm,
     edge_sequence_label,
@@ -185,6 +184,32 @@ def test_pruned_enumeration_meets_every_class(rng):
         assert [(r.length, r.edges) for r in recs] == sorted((r.length, r.edges) for r in recs)
 
 
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_class_counts_match_burnside(rng):
+    """The number of rotation classes of length n is, by Burnside's lemma,
+    (1/n) sum_{d | n} phi(d) tr(T0^(n/d)), where T0 is the 0/1 pattern of
+    the transfer matrix: a rotation by k fixes exactly the closed sequences
+    of period gcd(n, k).  The necklace walk's group sizes equal it, counted
+    in Python integers, at every length bound 1..12 on the fixtures and on
+    random graphs with no flags, symmetric flags and one-sided flags."""
+    graphs = list(CAT.values()) + [_pendant_chains()]
+    graphs += [random_graph(rng, max_vertices=6, backtrack=mode)
+               for mode in ("none", "symmetric", "any") for _ in range(4)]
+    for g in graphs:
+        T0 = (transfer_matrix(g).dense() != 0).astype(int).astype(object)
+        traces, power = [0], np.identity(T0.shape[0], dtype=int).astype(object)
+        for _ in range(12):
+            power = power.dot(T0)
+            traces.append(int(np.trace(power)))
+        counts = [0] + [sum(_totient(d) * traces[n // d] for d in range(1, n + 1) if n % d == 0) // n
+                        for n in range(1, 13)]
+        for L in range(1, 13):
+            assert [len(group) for group in _closed_walks(g, L, necklaces=True)] == counts[:L + 1]
+
+
 def _reference_walks(g, L):
     """Every admissible closed edge sequence of length 1..L with its in-order
     weight product, by the plain depth-first search that pushes every
@@ -282,7 +307,8 @@ def test_enumeration_matches_unpruned_reference(rng):
 def _sorted_classes(g, L):
     """The necklaces of _closed_walks as (length, index sequence, weight,
     period), sorted explicitly."""
-    return sorted((len(seq), seq, wgt, p) for seq, wgt, p in _closed_walks(g, L, necklaces=True))
+    groups = _closed_walks(g, L, necklaces=True)
+    return sorted((len(seq), seq, wgt, p) for group in groups for seq, wgt, p in group)
 
 
 def _sorted_records(classes, edges, system):
@@ -316,9 +342,11 @@ def _primes_csv(records):
 
 
 def test_walk_order_replaces_sorts(rng, tmp_path, capsys):
-    """The walk yields each length's sequences in increasing order, so no
-    sort is needed: _cycle_classes equals its sorted self, every per-length
-    list of closed_sequences is sorted, and prime_cycles, euler_product and
+    """The walk fills each length's group in increasing order, so no sort is
+    needed: every group, necklaces or not, is sorted and holds only
+    sequences of its own length; the necklace groups concatenate to the
+    explicitly sorted classes and the others map to closed_sequences, whose
+    weights compute_Nm sums in order; and prime_cycles, euler_product and
     the primes command's output are byte-identical to versions built from
     explicitly sorted classes, at every length bound 1..12, on the fixtures
     and on random flagged graphs, plain and twisted."""
@@ -333,9 +361,21 @@ def test_walk_order_replaces_sorts(rng, tmp_path, capsys):
         path.write_text(serialize_graph(g) + "\n")
         for L in range(1, 13):
             classes = [c for c in reference if c[0] <= L]
-            assert _cycle_classes(g, L) == classes == sorted(_cycle_classes(g, L))
+            necklaces = _closed_walks(g, L, necklaces=True)
+            walks = _closed_walks(g, L, necklaces=False)
+            for groups in (necklaces, walks):
+                assert len(groups) == L + 1
+                assert all(group == sorted(group) for group in groups)
+                assert all(len(seq) == n for n, group in enumerate(groups) for seq, _, _ in group)
+            assert [(n, *c) for n, group in enumerate(necklaces) for c in group] == classes
+            assert all(p == n for n, group in enumerate(walks) for _, _, p in group)
             seqs = closed_sequences(g, L)
             assert all(items == sorted(items) for items in seqs.values())
+            assert seqs == {n: [(tuple(edges[i] for i in seq), wgt) for seq, wgt, _ in walks[n]]
+                            for n in range(1, L + 1)}
+            # compute_Nm is the in-order sum over closed_sequences, bit for bit
+            totals = [float(sum(w for _, w in seqs[n])) for n in range(1, L + 1)]
+            assert [x.hex() for x in compute_Nm(g, L, "strict")] == [x.hex() for x in totals]
             for sys_ in (None, system):
                 records = _sorted_records(classes, edges, sys_)
                 got = prime_cycles(g, L, system=sys_)
