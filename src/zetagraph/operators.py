@@ -175,12 +175,15 @@ def transfer_matrix(g: WeightedGraph, system=None) -> LinearOperator:
 def vertex_series(
     spread: LinearOperator, endpoint: LinearOperator, flip: LinearOperator, M: int
 ) -> MatrixSeries:
-    """The vertex-space series 1 + sum_{n=1..M} (-u)^n endpoint flip^{n-1} spread."""
-    coeffs = [np.eye(endpoint.mat.shape[0], dtype=np.complex128)]
-    P = spread.dense().astype(np.complex128)
+    """The vertex-space series 1 + sum_{n=1..M} (-u)^n endpoint flip^{n-1} spread.
+
+    Real maps give a real series and twisted ones a complex series."""
+    walk = spread.dense()
+    coeffs = np.empty((M + 1, walk.shape[1], walk.shape[1]), dtype=walk.dtype)
+    coeffs[0] = np.eye(walk.shape[1])
     for n in range(1, M + 1):
-        coeffs.append((-1) ** n * (endpoint.mat @ P))
-        P = flip.mat @ P
+        np.multiply(endpoint.mat @ walk, (-1) ** n, out=coeffs[n])
+        walk = flip.mat @ walk
     return MatrixSeries(coeffs)
 
 

@@ -1,12 +1,15 @@
 """Truncated power series in one variable, scalar and matrix valued.
 
 A Series holds complex coefficients c_0..c_M for a fixed truncation order M;
-Series(head, order=M) zero-pads a short head, and a MatrixSeries stores only
-its head C_0..C_deg beside M.  Binary operations zero-extend the shorter
-operand, so mixing orders is safe but the high coefficients of the result
-are only as meaningful as the inputs.  times_sparse multiplies a series by
-sparse polynomial factors such as 1 - w u^l, one in-place update each, for
-the Euler, roundtrip and (1 - u^2)^-chi products.
+Series(head, order=M) zero-pads a short head.  A MatrixSeries stores only its
+head C_0..C_deg beside M, in its coefficients' own dtype: float64 for real
+coefficients, so an untwisted graph's determinant runs in real arithmetic,
+and complex128 once any coefficient is complex.  Binary operations
+zero-extend the shorter operand, so mixing orders is safe but the high
+coefficients of the result are only as meaningful as the inputs.
+times_sparse multiplies a series by sparse polynomial factors such as
+1 - w u^l, one in-place update each, for the Euler, roundtrip and
+(1 - u^2)^-chi products.
 
 Two determinants and Series.exp turn power sums into coefficients by the
 same Newton recursion.  fredholm_det expands det(1 - u*T) from the power
@@ -157,21 +160,23 @@ def times_sparse(series: Series, factors) -> Series:
     term in k; terms past the order are skipped, so a step above the order
     changes nothing.
 
-    When every a_k is a float and every imaginary part of the series is
-    +0.0, the update runs on a list of the real parts, n stepping down so
-    that c_{n - k*step} still holds its value from before the factor.  That
-    gives the bits of the complex update: a complex times a real a_k has
-    real part a_k x - 0 * 0 = a_k x, its imaginary part is a sum of signed
-    zeros that the +0.0 already there absorbs, and the real parts are
-    summed in the same order.  The list would drop the sign of a -0.0
-    imaginary part, which the complex update keeps wherever it adds nothing
-    or -0.0, so such a series takes the complex update, as complex factors
-    do.
+    When every imaginary part of the series is +0.0, the update first runs
+    on a list of the real parts, n stepping down so that c_{n - k*step}
+    still holds its value from before the factor.  With real a_k that gives
+    the bits of the complex update: a complex times a real a_k has real
+    part a_k x - 0 * 0 = a_k x, its imaginary part is a sum of signed zeros
+    that the +0.0 already there absorbs, and the real parts are summed in
+    the same order.  A complex a_k that takes part makes c_M complex, as
+    c_M takes every term of every factor, so the list result is kept only
+    where c_M is still real; elsewhere, as for a series with a -0.0
+    imaginary part, which the list would drop, the complex update runs.
+    So no coefficient is inspected before the update.  The a_k are Python
+    numbers or float64 and complex128 scalars; a float32 one would round
+    the list update to single precision.
     """
     m = series.order
     imag = series.c.imag
-    if (all(isinstance(x, float) for a, _ in factors for x in a)
-            and not (imag.any() or np.signbit(imag).any())):
+    if not (imag.any() or np.signbit(imag).any()):
         c = series.c.real.tolist()
         for a, step in factors:
             for n in range(m, step - 1, -1):
@@ -179,7 +184,8 @@ def times_sparse(series: Series, factors) -> Series:
                 while k < len(a) and k * step <= n:
                     c[n] += a[k] * c[n - k * step]
                     k += 1
-        return Series(c)
+        if not isinstance(c[m], complex):
+            return Series(c)
     c = series.coefficients()
     for a, step in factors:
         old = c.copy()
@@ -251,31 +257,39 @@ def _newton(p: np.ndarray) -> Series:
 class MatrixSeries:
     """Square-matrix-valued series P = sum_k C_k u^k truncated at a fixed order.
 
-    Only the head C_0..C_deg is stored, deg being the last nonzero
-    coefficient at or below the order; the coefficients above it are zero
-    up to the order, which defaults to len(coefficients) - 1.
+    Only the head C_0..C_deg is stored, as one read-only (deg+1, d, d)
+    array (a view of coefficients where they are such an array already),
+    deg being the last nonzero coefficient at or below the order;
+    the coefficients above it are zero up to the order, which defaults to
+    len(coefficients) - 1.  The head keeps its coefficients' dtype, at least
+    float64 (np.result_type(np.float64, *coefficients)): real coefficients
+    are stored, and the determinant and its checks run, in float64, and
+    complex ones in complex128.
     """
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coefficients, order: int | None = None):
-        mats = [np.asarray(m, dtype=np.complex128) for m in coefficients]
-        if not mats:
+        if len(coefficients) == 0:
             raise ValueError("need at least the constant coefficient")
-        d = mats[0].shape[0]
-        if any(m.shape != (d, d) for m in mats):
+        d = np.shape(coefficients[0])[0]
+        if any(np.shape(m) != (d, d) for m in coefficients):
             raise ValueError("all coefficients must be square of equal size")
-        self.order = len(mats) - 1 if order is None else order
+        self.order = len(coefficients) - 1 if order is None else order
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        mats = mats[: self.order + 1]
-        while len(mats) > 1 and not mats[-1].any():
-            mats.pop()
-        self.coeffs = mats
+        head = np.asarray(coefficients)
+        head = head.astype(np.result_type(np.float64, head), copy=False)[: self.order + 1]
+        deg = len(head) - 1
+        while deg > 0 and not head[deg].any():
+            deg -= 1
+        head = head[: deg + 1]
+        head.flags.writeable = False
+        self.coeffs = head
 
     @property
     def dim(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -295,24 +309,47 @@ class MatrixSeries:
         d*deg, so the recursion stops at m = min(M, d*deg) and the
         coefficients above it are exact zeros.  The result is checked by
         verify, and a mismatch raises ArithmeticError.
+
+        The recursion runs in the head's dtype, and each order takes two
+        calls: one batched trace tr(C_j X_k) for every j, and one stacked
+        product C_j X_{k+1-j} of every j, summed over j in increasing order
+        (the order of separate products added one by one).  A real product
+        is taken as (X^T C^T)^T: with the OpenBLAS that numpy ships, at
+        d <= 100, that rounds as the real part of the complex product does,
+        so a real head gives the bits of its complex cast (checked on every
+        bench graph), while C X itself does not.  The X_k fill a buffer of
+        deg slots from the last down, so that X_k, X_{k-1}, ... is always a
+        forward slice; only for m > deg do the slots shift.  Each p_n is
+        summed over k in increasing order.
         """
-        d = self.dim
-        ident = np.eye(d, dtype=np.complex128)
-        if np.max(np.abs(self.coeffs[0] - ident)) > 1e-12:
-            raise ValueError("constant coefficient must be the identity")
         C = self.coeffs
-        deg = len(C) - 1
+        d, deg = self.dim, len(C) - 1
+        if np.max(np.abs(C[0] - np.eye(d))) > 1e-12:
+            raise ValueError("constant coefficient must be the identity")
         if deg == 0:
             return Series.one(self.order)
         m = min(self.order, d * deg)
-        p = np.zeros(m + 1, dtype=np.complex128)  # p_n = -n l_n
-        X = [ident]  # X_k, X_{k-1}, ..., X_{k-deg+1}
+        p = np.zeros(m + 1, dtype=C.dtype)  # p_n = -n l_n
+        weights = np.arange(1, deg + 1)
+        X = np.empty((deg, d, d), dtype=C.dtype)  # X_k, X_{k-1}, ... from X[top]
+        top = deg - 1
+        X[top] = np.eye(d)
+        real = np.isrealobj(C)
+        Ct, Xt = C.transpose(0, 2, 1), X.transpose(0, 2, 1)
         for k in range(m):
-            for j in range(1, min(deg, m - k) + 1):
-                p[k + j] -= j * np.einsum("ij,ji->", C[j], X[0])
+            J = min(deg, m - k)
+            p[k + 1 : k + J + 1] -= weights[:J] * np.einsum("jab,ba->j", C[1 : J + 1], X[top])
             if k + 1 < m:
-                nxt = -sum(C[j] @ X[j - 1] for j in range(1, min(k + 1, deg) + 1))
-                X = [nxt] + X[: deg - 1]
+                J = min(k + 1, deg)
+                if real:
+                    nxt = np.matmul(Xt[top : top + J], Ct[1 : J + 1]).sum(axis=0).T
+                else:
+                    nxt = np.matmul(C[1 : J + 1], X[top : top + J]).sum(axis=0)
+                if top:
+                    top -= 1
+                else:  # X_{k+1-deg} is needed no more
+                    X[1:] = X[:-1]
+                np.negative(nxt, out=X[top])
         return self.verify(_newton(p))
 
     def verify(self, result: Series) -> Series:
@@ -349,7 +386,10 @@ class MatrixSeries:
 
         det P has degree at most d*deg, so its values at the N = n_pts > d*deg
         points u_j = r exp(2 pi i j / N) determine it: their FFT is N c_n r^n,
-        with no aliasing.  r minimises Hadamard's bound prod_i sum_k
+        with no aliasing.  The points past the upper half circle are taken as
+        u_{N-j} = conj(u_j), and for a real head det P(conj u) = conj det P(u)
+        exactly, so only the N//2 + 1 points j <= N/2 are evaluated and the
+        rest are their conjugates.  r minimises Hadamard's bound prod_i sum_k
         |row_i C_k| r^k on max |det P| times r^-M over a grid.  The tolerance
         is 1e-10 plus eps sqrt(N) max_j |det P(u_j)| r^-n, the FFT's
         resolution of values exact to working precision; where det P cancels
@@ -357,19 +397,24 @@ class MatrixSeries:
         absolute because callers multiply the determinant by series that
         cancel further.
         """
-        C = np.stack(self.coeffs[: deg + 1])
+        C = self.coeffs
         d, m = self.dim, result.order
         radii = np.geomspace(0.1, 1.5, 64)
         rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
         hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)
         r = radii[np.argmin(hadamard - m * np.log(radii))]
-        u = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
+        upper = n_pts // 2 + 1  # the points j <= N/2
+        u = r * np.exp(2j * np.pi * np.arange(upper) / n_pts)
+        if not np.isrealobj(C):
+            u = np.concatenate([u, u[n_pts - upper : 0 : -1].conj()])
         powers = np.power.outer(u, np.arange(deg + 1))
         # deg + 1 points at a time, so the values take no more memory than C;
         # the stack height sets how the product rounds, so it stays fixed
-        flat = C.reshape(deg + 1, -1)
+        flat = C.reshape(deg + 1, -1).astype(np.complex128, copy=False)
         values = np.concatenate([np.linalg.det((powers[i : i + deg + 1] @ flat).reshape(-1, d, d))
-                                 for i in range(0, n_pts, deg + 1)])
+                                 for i in range(0, len(u), deg + 1)])
+        if len(values) < n_pts:
+            values = np.concatenate([values, values[n_pts - upper : 0 : -1].conj()])
         scale = r ** -np.arange(m + 1)
         exact = np.fft.fft(values)[: m + 1] / n_pts * scale
         resolution = np.finfo(float).eps * np.sqrt(n_pts) * np.abs(values).max() * scale
@@ -394,10 +439,10 @@ class MatrixSeries:
         is that tail plus 1e-10 for rounding, as det P(u0) is close to 1.
         """
         C = self.coeffs
-        rho = max(np.linalg.norm(C[k], axis=1).max() ** (1.0 / k)
-                  for k in range(1, deg + 1))
+        k = np.arange(deg + 1)
+        rho = (np.linalg.norm(C[1:], axis=2).max(axis=1) ** (1.0 / k[1:])).max()
         u0 = 0.01 / max(1.0, 2.0 * self.dim * deg * rho)
-        exact = np.linalg.det(sum(C[k] * u0**k for k in range(deg + 1)))
+        exact = np.linalg.det(np.tensordot(u0**k, C, axes=1))
         dev = abs(result(u0) - exact)
         tol = 3.0 * 100.0 ** -(self.order + 1) + 1e-10
         if not dev <= tol:

@@ -19,7 +19,7 @@ from conftest import (
 )
 from zetagraph import fixtures, series
 from zetagraph.graph import make_graph
-from zetagraph.operators import incidence_maps, transfer_matrix
+from zetagraph.operators import incidence_maps, transfer_matrix, vertex_series
 from zetagraph.twist import make_local_system
 from zetagraph.series import (
     MatrixSeries,
@@ -378,6 +378,86 @@ def test_matrix_series_det_multiplicative():
 def test_matrix_series_det_requires_identity_head():
     with pytest.raises(ValueError):
         MatrixSeries([np.zeros((2, 2)), np.eye(2)]).det()
+
+
+def test_matrix_series_keeps_the_dtype_of_its_head():
+    eye, ones = np.eye(2), np.ones((2, 2))
+    assert MatrixSeries([eye, ones]).coeffs.dtype == np.float64
+    integer = [np.eye(2, dtype=int), np.ones((2, 2), dtype=np.int32)]
+    assert MatrixSeries(integer).coeffs.dtype == np.float64
+    assert MatrixSeries([eye.astype(np.float32), ones]).coeffs.dtype == np.float64
+    assert MatrixSeries([eye, ones, 1j * ones]).coeffs.dtype == np.complex128
+    assert MatrixSeries([eye, ones.astype(np.complex64)]).coeffs.dtype == np.complex128
+    # any complex coefficient makes the head complex, stored or not
+    assert MatrixSeries([eye, ones, 1j * ones], order=1).coeffs.dtype == np.complex128
+    assert MatrixSeries([eye, ones, 0j * ones]).coeffs.dtype == np.complex128
+    head = MatrixSeries([eye, ones]).coeffs
+    assert head.shape == (2, 2, 2) and not head.flags.writeable
+
+
+def test_vertex_series_is_real_untwisted_and_complex_twisted(rng):
+    g = fixtures.catalogue()["k4"]
+    real = vertex_series(*incidence_maps(g), 6)
+    assert real.coeffs.dtype == np.float64
+    system = make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})
+    twisted = vertex_series(*incidence_maps(g, system), 6)
+    assert twisted.coeffs.dtype == np.complex128 and twisted.dim == 2 * real.dim
+    trivial = make_local_system(g, 1)
+    cast = vertex_series(*incidence_maps(g, trivial), 6)
+    assert cast.coeffs.dtype == np.complex128
+    assert cast.coeffs.tobytes() == real.coeffs.astype(np.complex128).tobytes()
+
+
+def _real_pencil(rng, d, deg, order):
+    coeffs = [np.eye(d)] + [rng.normal(size=(d, d)) * 0.5 / d for _ in range(deg)]
+    return MatrixSeries(coeffs, order)
+
+
+def test_real_det_matches_the_complex_cast_pencil():
+    # the float64 recursion against the same pencil in complex128
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        d, deg, order = (int(rng.integers(1, hi)) for hi in (41, 13, 16))
+        ms = _real_pencil(rng, d, deg, order)
+        cast = MatrixSeries(ms.coeffs.astype(np.complex128), order)
+        got, want = ms.det().c, cast.det().c
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), (d, deg, order)
+
+
+def _refuses(ms, result):
+    try:
+        ms.verify(result)
+    except ArithmeticError:
+        return True
+    return False
+
+
+def test_half_circle_check_gives_the_full_point_set_verdict(monkeypatch):
+    # a real pencil evaluates det P on the upper half circle only; a shift of
+    # one coefficient just above or just below its tolerance gets the verdict
+    # of every point evaluated, on the complex-cast pencil
+    seen = []
+    check = MatrixSeries._check_interpolation
+    monkeypatch.setattr(MatrixSeries, "_check_interpolation",
+                        lambda self, *args: seen.append(self.coeffs.dtype) or check(self, *args))
+    rng = np.random.default_rng(29)
+    # N = d deg + 1 odd and even
+    for d, deg, order in [(1, 2, 2), (3, 1, 3), (3, 2, 6), (5, 3, 12), (6, 2, 12), (7, 3, 9)]:
+        ms = _real_pencil(rng, d, deg, order)
+        cast = MatrixSeries(ms.coeffs.astype(np.complex128), order)
+        series = ms.det()
+        for n in range(series.order + 1):
+            shifted = series.coefficients()
+            shifted[n] += 1.0
+            with pytest.raises(ArithmeticError, match=rf"u\^{n}: .*tolerance") as err:
+                ms.verify(Series(shifted))
+            tol = float(err.value.args[0].split("tolerance ")[1].split(",")[0])
+            for factor, refused in ((1.01, True), (0.99, False)):
+                shifted = series.coefficients()
+                shifted[n] += factor * tol
+                assert _refuses(ms, Series(shifted)) == refused, (d, deg, n, factor)
+                assert _refuses(cast, Series(shifted)) == refused, (d, deg, n, factor)
+    assert {np.dtype(np.float64), np.dtype(np.complex128)} == set(seen)
 
 
 @st.composite
