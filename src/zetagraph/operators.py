@@ -12,9 +12,9 @@ stack of transports of a local system (all ones without one, so the
 untwisted operators are its d = 1 case).  The CSR arrays are written
 straight from these in one pass per operator, in sorted order and without
 the zero entries of a block, with no scipy product or difference.  The
-vertex-space factorization series built from these maps and the roundtrip
-product live here too; the determinant routes use them for the zeta
-function and, with a local system, for the L-function.
+vertex-space factorization series built from these maps lives here too;
+the determinant routes use it for the zeta function and, with a local
+system, for the L-function.
 
 Conventions. For an operator defined on basis vectors, entry [row, col] is
 the coefficient of `row` in the image of `col`.  The adjacency operator sends
@@ -31,7 +31,7 @@ admission rule to shuttles along one edge.
 The flip is block diagonal over unoriented pairs, and det(1 - u flip) is the
 roundtrip product over the pairs with no flagged orientation.  Hence
 det(1 - uT) = det(vertex series) * roundtrip product for every flag set
-(Bass 1992; Kotani and Sunada 2000).
+(Bass 1992; Kotani and Sunada 2000), a sum of power sums in routes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import scipy.sparse as sp
 
 from .cycles import reduced_walks
 from .graph import WeightedGraph, canonical_order
-from .series import MatrixSeries, Series, times_sparse
+from .series import MatrixSeries
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,6 @@ def vertex_series(
         np.multiply(endpoint.mat @ walk, (-1) ** n, out=coeffs[n])
         walk = flip.mat @ walk
     return MatrixSeries(coeffs)
-
-
-def roundtrip_product(g: WeightedGraph, order: int, dim: int = 1) -> Series:
-    """Prod over unoriented edges (1 - u^2 W(e))^dim in edge order.
-
-    Edges with a flagged orientation are left out: the flip has no factor
-    there, and an unflagged graph has none of them."""
-    W = [g.weight[(u, v)] * g.weight[(v, u)] for u, v in g.edges
-         if (u, v) not in g.backtrack and (v, u) not in g.backtrack]
-    return times_sparse(Series.one(order), [((1.0, -w), 2) for w in W for _ in range(dim)])
 
 
 def zigzag_matrix(g: WeightedGraph, n: int) -> LinearOperator:

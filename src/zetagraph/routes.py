@@ -4,7 +4,8 @@ against the cycle oracle.
 Every route returns Z(u)^{-1} as a truncated series.  The Fredholm route
 det(1 - uT) is normative; the factorization, block-determinant, partial
 product, and unit-weight routes are independent computations checked
-against it coefficient by coefficient.  Their matrices, and those of
+against it coefficient by coefficient; the factorization adds its two
+factors' power sums and takes one Newton step.  Their matrices, and those of
 spectrum_poles, are built on the graph's leafless core (WeightedGraph.core),
 which has the same zeta and L-functions; applicability is judged on the
 graph itself.
@@ -20,14 +21,9 @@ import scipy.sparse as sp
 from .cycles import euler_product
 from .errors import ResourceCapError
 from .graph import WeightedGraph, canonical_order
-from .operators import (
-    incidence_maps,
-    roundtrip_product,
-    transfer_matrix,
-    vertex_series,
-    zigzag_matrix,
-)
-from .series import MatrixSeries, Series, coeffs_agree, fredholm_det, max_deviation, times_sparse
+from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
+from .series import (MatrixSeries, Series, _newton, coeffs_agree, fredholm_det, max_deviation,
+                     times_sparse)
 
 
 @dataclass(frozen=True)
@@ -89,26 +85,34 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
 
 
 def _factorization(g: WeightedGraph, M: int, system=None) -> tuple[Series, int]:
-    """det of the vertex-space series times the roundtrip product, and the
-    vertex dimension.  Equals det(1 - uT) for every backtrack set.
+    """det(1 - uT), for every backtrack set, and the vertex dimension.
 
-    With a local system of dimension d the incidence maps are twisted and
-    each roundtrip factor is raised to the power d.  Both factors are built
-    on g.core, so the pendant trees' roundtrip factors, which would cancel
-    against the vertex series, never enter."""
+    log det(1 - uT) = log det P + d sum_e log(1 - u^2 W(e)) over the pairs
+    with no flagged orientation, P the vertex series and d the system's
+    dimension.  MatrixSeries.det certifies det P and keeps the power sums of
+    log det P; each pair adds 2d W(e)^k to p_2k, d W^k per orientation, and
+    one _newton takes them to the degree dim T = |OE| d, with exact zeros
+    above.  det P and the roundtrip product, which grow while their product
+    stays small, are never multiplied.  Built on g.core, as are its pairs."""
     g = g.core
     ms = vertex_series(*incidence_maps(g, system), M)
+    ms.det()
     dim = 1 if system is None else system.dim
-    return ms.det() * roundtrip_product(g, M, dim=dim), ms.dim
+    _, edges, _, _, reversal, weight, unflagged = g.edge_arrays
+    n = min(M, dim * len(edges))
+    W = (weight * weight[reversal])[unflagged & unflagged[reversal]]
+    p = ms.power_sums[: n + 1].copy()
+    p[2::2] += dim * np.power.outer(W, np.arange(1, n // 2 + 1)).sum(axis=0)
+    return _newton(p).truncate(M), ms.dim
 
 
 def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
-    """Factorization route: det of the vertex-space series times the
-    roundtrip product over unoriented edges.  Empty backtrack set only; with
-    a local system the result is the reciprocal L-series."""
+    """Factorization route: det of the vertex series times the roundtrip
+    product, see _factorization.  Empty backtrack set only; with a local
+    system the result is the reciprocal L-series."""
     _require_no_flags(g, "sunada")
     series, vertex_dim = _factorization(g, M, system)
-    return RouteResult("sunada", series.truncate(M), {"vertex_dimension": vertex_dim})
+    return RouteResult("sunada", series, {"vertex_dimension": vertex_dim})
 
 
 def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
@@ -220,18 +224,19 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
     det(vertex series) * prod over unoriented edges with no flagged
     orientation (1 - u^2 W) * exp(-alpha u^2).
 
-    The first two factors are the factorization, which equals det(1 - uT)
-    for every flag set, so the route deviates from the Fredholm determinant
-    by exactly the factor exp(-alpha u^2).  Symmetric flag sets have
-    alpha = 0 and the route is exact; on one-sided flag sets the deviation
-    is flagged, not fixed."""
+    The first two factors are _factorization, which equals det(1 - uT)
+    for every flag set; the exponential, no polynomial, multiplies it after.
+    So the route deviates from the Fredholm determinant by exactly the
+    factor exp(-alpha u^2).  Symmetric flag sets have alpha = 0 and the
+    route is exact; on one-sided flag sets the deviation is flagged, not
+    fixed."""
     alpha = backtrack_weight_constant(g, alpha_variant)
     series, _ = _factorization(g, M)
     if alpha != 0.0:
         series = series * Series([0.0, 0.0, -alpha], order=M).exp()
     return RouteResult(
         "partial",
-        series.truncate(M),
+        series,
         {
             "alpha": alpha,
             "alpha_variant": alpha_variant,

@@ -8,8 +8,7 @@ and complex128 once any coefficient is complex.  Binary operations
 zero-extend the shorter operand, so mixing orders is safe but the high
 coefficients of the result are only as meaningful as the inputs.
 times_sparse multiplies a series by sparse polynomial factors such as
-1 - w u^l, one in-place update each, for the Euler, roundtrip and
-(1 - u^2)^-chi products.
+1 - w u^l in place, for the Euler and (1 - u^2)^-chi products.
 
 Two determinants and Series.exp turn power sums into coefficients by the
 same Newton recursion.  fredholm_det expands det(1 - u*T) from the power
@@ -21,7 +20,8 @@ series P = sum C_k u^k with C_0 = I by Jacobi's formula
 (log det P)' = tr(P^-1 P') and checks the result against det P itself,
 raising instead of returning a series it cannot certify.  That check is
 MatrixSeries.verify, which also certifies a det P taken another way, such as
-fredholm_det of the pencil's companion matrix.
+fredholm_det of the pencil's companion matrix.  det keeps the power sums
+of log det P for the factorization route.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ class MatrixSeries:
     len(coefficients) - 1.  The head keeps its coefficients' dtype, at least
     float64 (np.result_type(np.float64, *coefficients)): real coefficients
     are stored, and the determinant and its checks run, in float64, and
-    complex ones in complex128.
+    complex ones in complex128.  power_sums is None until det runs.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs", "order", "power_sums")
 
     def __init__(self, coefficients, order: int | None = None):
         if len(coefficients) == 0:
@@ -286,6 +286,7 @@ class MatrixSeries:
         head = head[: deg + 1]
         head.flags.writeable = False
         self.coeffs = head
+        self.power_sums = None
 
     @property
     def dim(self) -> int:
@@ -304,11 +305,11 @@ class MatrixSeries:
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
         where C_deg ends the stored head, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
-        of log det P = sum l_n u^n: about m*deg matrix products, keeping
-        the last deg terms of X.  det P is a polynomial of degree at most
-        d*deg, so the recursion stops at m = min(M, d*deg) and the
-        coefficients above it are exact zeros.  The result is checked by
-        verify, and a mismatch raises ArithmeticError.
+        of log det P = sum l_n u^n to the order M, kept as p_n = -n l_n in
+        power_sums: about M*deg matrix products, keeping the last deg terms
+        of X.  det P has degree at most d*deg, so its _newton stops at
+        m = min(M, d*deg), with exact zeros above; verify checks it and
+        raises ArithmeticError on a mismatch.
 
         The recursion runs in the head's dtype, and each order takes two
         calls: one batched trace tr(C_j X_k) for every j, and one stacked
@@ -319,27 +320,27 @@ class MatrixSeries:
         so a real head gives the bits of its complex cast (checked on every
         bench graph), while C X itself does not.  The X_k fill a buffer of
         deg slots from the last down, so that X_k, X_{k-1}, ... is always a
-        forward slice; only for m > deg do the slots shift.  Each p_n is
-        summed over k in increasing order.
+        forward slice; only for M > deg do the slots shift.  Each p_n is
+        summed over k in increasing order, with the bits of a stop at m.
         """
         C = self.coeffs
         d, deg = self.dim, len(C) - 1
         if np.max(np.abs(C[0] - np.eye(d))) > 1e-12:
             raise ValueError("constant coefficient must be the identity")
+        M = self.order
+        p = self.power_sums = np.zeros(M + 1, dtype=C.dtype)  # p_n = -n l_n
         if deg == 0:
-            return Series.one(self.order)
-        m = min(self.order, d * deg)
-        p = np.zeros(m + 1, dtype=C.dtype)  # p_n = -n l_n
+            return Series.one(M)
         weights = np.arange(1, deg + 1)
         X = np.empty((deg, d, d), dtype=C.dtype)  # X_k, X_{k-1}, ... from X[top]
         top = deg - 1
         X[top] = np.eye(d)
         real = np.isrealobj(C)
         Ct, Xt = C.transpose(0, 2, 1), X.transpose(0, 2, 1)
-        for k in range(m):
-            J = min(deg, m - k)
+        for k in range(M):
+            J = min(deg, M - k)
             p[k + 1 : k + J + 1] -= weights[:J] * np.einsum("jab,ba->j", C[1 : J + 1], X[top])
-            if k + 1 < m:
+            if k + 1 < M:
                 J = min(k + 1, deg)
                 if real:
                     nxt = np.matmul(Xt[top : top + J], Ct[1 : J + 1]).sum(axis=0).T
@@ -350,7 +351,7 @@ class MatrixSeries:
                 else:  # X_{k+1-deg} is needed no more
                     X[1:] = X[:-1]
                 np.negative(nxt, out=X[top])
-        return self.verify(_newton(p))
+        return self.verify(_newton(p[: min(M, d * deg) + 1]))
 
     def verify(self, result: Series) -> Series:
         """result checked against det P, to the order M of P; raises
@@ -394,8 +395,8 @@ class MatrixSeries:
         is 1e-10 plus eps sqrt(N) max_j |det P(u_j)| r^-n, the FFT's
         resolution of values exact to working precision; where det P cancels
         the LU error exceeds it and a right series can be refused.  It stays
-        absolute because callers multiply the determinant by series that
-        cancel further.
+        absolute because the classical route multiplies the determinant by
+        (1 - u^2)^-chi, which cancels further.
         """
         C = self.coeffs
         d, m = self.dim, result.order

@@ -143,8 +143,11 @@ def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
     dim = block["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise GraphFormatError("local_system dim must be a positive integer")
+    items = block.get("transfers", [])
+    if not isinstance(items, list):
+        raise GraphFormatError("local_system transfers must be a list")
     transfers = {}
-    for item in block.get("transfers", []):
+    for item in items:
         if not isinstance(item, dict) or not {"u", "v", "matrix"} <= set(item):
             raise GraphFormatError("each transfer needs u, v, and matrix fields")
         e = (str(item["u"]), str(item["v"]))

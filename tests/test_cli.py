@@ -242,6 +242,13 @@ def test_exit_3_io_and_parse(tmp_path, capsys):
     arrays.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", 1.0]]}))
     code, _, err = run(capsys, ["stats", str(arrays)])
     assert code == 3 and err.startswith("parse error:")
+    # a local system whose transfers are not a list
+    twisted = json.loads(serialize_graph(fixtures.catalogue()["k3"]))
+    twisted["local_system"] = {"dim": 1, "transfers": 5}
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(twisted))
+    code, out, err = run(capsys, ["lfun", str(system), "--order", "4"])
+    assert code == 3 and out == [] and err.startswith("parse error:")
 
 
 def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):

@@ -284,6 +284,7 @@ def test_system_document_round_trip(rng):
         {"dim": 1, "transfers": [{"u": "x", "v": "y", "matrix": [["one"]]}]},
         {"dim": 2, "transfers": [{"u": "x", "v": "y", "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}]},
         {"dim": 1, "transfers": [{"u": "x", "v": "q", "matrix": [[[1, 0]]]}]},
+        {"dim": 1, "transfers": 5},
     ],
 )
 def test_malformed_system_blocks(block):
