@@ -8,13 +8,16 @@ disagreement, 3 I/O or parse failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
 import sys
 from pathlib import Path
 
-from .cycles import edge_sequence_label, euler_product, prime_cycles
+import numpy as np
+
+from .cycles import edge_sequence_label, prime_cycles
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
 from .families import convergence_study, make_source, study_csv_lines, truncation_depth
 from .graph import (
@@ -24,14 +27,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .routes import (
-    ROUTE_BUILDERS,
-    cross_validate,
-    poles_csv_lines,
-    spectrum_poles,
-    zeta_bass,
-    zeta_partial_formula,
-)
+from .routes import ROUTES, cross_validate, poles_csv_lines, route_series, spectrum_poles
 from .series import _fmt, csv_lines
 from .twist import lfunction, load_local_system
 
@@ -62,10 +58,10 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("coeffs", help="reciprocal zeta series by one route")
     sp.add_argument("file")
     add_order(sp)
-    sp.add_argument("--route", default="fredholm",
-                    choices=["oracle", "fredholm", "sunada", "bass", "partial", "classical"])
+    sp.add_argument("--route", default="fredholm", choices=["oracle", *ROUTES])
     sp.add_argument("--variant", default=None,
-                    help="bass: corrected|as-printed; partial: W|w-squared")
+                    help="; ".join(f"{name}: {'|'.join(rule.variants)}"
+                                   for name, rule in ROUTES.items() if rule.variants))
 
     sp = sub.add_parser("check", help="cross-validate all applicable routes")
     sp.add_argument("file")
@@ -123,19 +119,7 @@ def _emit(lines: list[str]) -> None:
 def _cmd_coeffs(args) -> int:
     g, _ = _read_graph(args.file)
     _check_order(args.order)
-    if args.route == "oracle":
-        if args.variant is not None:
-            raise ValueError("the oracle route takes no variant")
-        series = euler_product(g, args.order)
-    elif args.route == "bass":
-        series = zeta_bass(g, args.order, args.variant or "corrected").series
-    elif args.route == "partial":
-        series = zeta_partial_formula(g, args.order, args.variant or "W").series
-    else:
-        if args.variant is not None:
-            raise ValueError(f"the {args.route} route takes no variant")
-        series = ROUTE_BUILDERS[args.route](g, args.order).series
-    _emit(csv_lines(series))
+    _emit(csv_lines(route_series(args.route, g, args.order, variant=args.variant)))
     return 0
 
 
@@ -146,6 +130,10 @@ def _cmd_check(args) -> int:
                             tol=args.tol)
     for flag in report.flags:
         print(f"note: {flag}", file=sys.stderr)
+    for route, message in report.refused:
+        print(f"note: {route} refused: {message}", file=sys.stderr)
+    if not report.pairs:
+        raise ArithmeticError("fewer than two series left to compare")
     _emit(report.csv_lines())
     return 0 if report.all_agree else 2
 
@@ -233,26 +221,45 @@ _COMMANDS = {
 }
 
 
-def _thread_cap() -> int:
-    """The ZETAGRAPH_THREADS contract: 0 means auto, n >= 1 caps worker
-    count.  The value is validated so misconfigurations surface, but it is
-    not yet applied: numpy's BLAS may run multithreaded, with its thread
-    count set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS."""
-    raw = os.environ.get("ZETAGRAPH_THREADS", "0")
+def _thread_cap() -> int | None:
+    """The BLAS thread count that ZETAGRAPH_THREADS asks for: one when it is
+    unset, so that the printed bytes do not depend on the BLAS thread count;
+    n for n >= 1; None for 0, which leaves BLAS as the environment set it."""
+    raw = os.environ.get("ZETAGRAPH_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"ZETAGRAPH_THREADS must be a nonnegative integer, got {raw!r}")
     if value < 0:
         raise ValueError(f"ZETAGRAPH_THREADS must be >= 0, got {value}")
-    return value
+    return value or None
+
+
+@functools.cache
+def _openblas():
+    """Getter and setter of the thread count of the OpenBLAS bundled with
+    numpy, found by symbol name in numpy.libs, or None where that library
+    is missing (another BLAS build), which leaves BLAS alone."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        suffix = "64_" if "openblas64" in path.name else ""
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _thread_cap()
+        threads = _thread_cap()
+        if threads is not None and (openblas := _openblas()):
+            openblas[1](threads)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -30,9 +30,8 @@ prenecklaces in lexicographic order, so each length's group comes out
 sorted and the callers read the groups as they are.  Index order is
 canonical order, so the edge sequences the indices stand for are sorted
 too: compute_Nm sums the weights, euler_product reads each prime's length
-and weight straight from the walk and maps a prime back to edges only for
-its holonomy, and prime_cycles and closed_sequences map every sequence
-back to edges.
+and edge indices straight from the walk, and prime_cycles and
+closed_sequences map every sequence back to edges.
 
 Both walks are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -40,6 +39,7 @@ graphs; they refuse bounds above LENGTH_CAP.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -267,31 +267,36 @@ def edge_sequence_label(edges: tuple) -> str:
 
 
 def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
-    """Reciprocal zeta (or L-) series as a finite product over prime classes.
+    """Reciprocal zeta (or L-) series as the product of det(1 - w(p) u^l H_p)
+    over the primes p of length l <= M, read from the walk's groups: exact
+    at order M, since longer primes start at u^{M+1}.
 
-    Multiplies det(1 - w(p) u^{l(p)} H_p) over primes of length <= M, in
-    the order of prime_cycles; the truncation at order M is exact since
-    longer primes start at u^{M+1}.  Each factor is the characteristic
-    polynomial sum_k a_k t^k of H_p, det(1 - t H_p), at t = w(p) u^{l(p)}:
-    a sparse polynomial in u^{l(p)} with coefficients a_k w(p)^k, applied in
-    place by times_sparse.  Without a local system H_p = 1 and the
-    polynomial is 1 - t.  The primes are read straight from the walk's
-    groups, with no records, so the factors come in the order of
-    prime_cycles; a prime's holonomy, when there is a system, is taken from
-    its own edges.
+    Without a local system (H_p = 1) it runs in integers: every float weight
+    is dyadic, so with 2^E the largest denominator each W = w 2^E is an
+    integer, and C_n = c_n 2^{E n} takes each factor as C_n -= W(p) C_{n-l},
+    n stepping down, W(p) the product along p; c_n = C_n / 2^{E n} is
+    rounded once.  With a system each factor det(1 - t H_p) = sum_k a_k t^k
+    at t = w(p) u^l is applied in floats by times_sparse in prime_cycles order.
     """
     edges = canonical_order(g)[1]
+    groups = _closed_walks(g, M, necklaces=True)
+    if system is None:
+        ratios = [g.weight[e].as_integer_ratio() for e in edges]
+        E = max((d.bit_length() - 1 for _, d in ratios), default=0)
+        W = [n << (E - d.bit_length() + 1) for n, d in ratios]
+        C = [1] + [0] * M
+        for n, group in enumerate(groups):
+            for seq, _, period in group:
+                if period == n:
+                    w = prod(map(W.__getitem__, seq))
+                    for k in range(M, n - 1, -1):
+                        C[k] -= w * C[k - n]
+        return Series([c / (1 << (E * n)) for n, c in enumerate(C)])
     factors = []
-    for n, group in enumerate(_closed_walks(g, M, necklaces=True)):
+    for n, group in enumerate(groups):
         for seq, wgt, period in group:
-            if period < n:
-                continue
-            w = float(wgt)
-            if system is None:
-                # the general form below gives exactly this for (1.0, -1.0)
-                factors.append(((1.0, -w), n))
-                continue
-            cycle = tuple(map(edges.__getitem__, seq))
-            charpoly = fredholm_det(holonomy(system, cycle), system.dim).c
-            factors.append(([a * w ** k for k, a in enumerate(charpoly)], n))
+            if period == n:
+                charpoly = fredholm_det(holonomy(system, tuple(map(edges.__getitem__, seq))),
+                                        system.dim).c
+                factors.append(([a * wgt ** k for k, a in enumerate(charpoly)], n))
     return times_sparse(Series.one(M), factors)

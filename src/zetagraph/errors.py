@@ -18,3 +18,7 @@ class GraphValidationError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """Raised when a request exceeds a documented size or length cap."""
+
+
+class RefusalError(ArithmeticError):
+    """Raised when a determinant check finds a series off by more than its tolerance."""

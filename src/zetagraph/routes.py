@@ -8,18 +8,19 @@ against it coefficient by coefficient; the factorization adds its two
 factors' power sums and takes one Newton step.  Their matrices, and those of
 spectrum_poles, are built on the graph's leafless core (WeightedGraph.core),
 which has the same zeta and L-functions; applicability is judged on the
-graph itself.
+graph itself, once, by why_not from the route's entry in ROUTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .cycles import euler_product
-from .errors import ResourceCapError
+from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
 from .series import (MatrixSeries, Series, _newton, coeffs_agree, fredholm_det, max_deviation,
@@ -47,10 +48,14 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
+    """cross_validate's verdicts on the series left after the refused
+    (route, message) pairs, the routes that raised RefusalError."""
+
     order: int
     tolerance: float
     pairs: tuple[PairVerdict, ...]
     flags: tuple[str, ...]
+    refused: tuple[tuple[str, str], ...]
 
     @property
     def all_agree(self) -> bool:
@@ -64,14 +69,31 @@ class DiscrepancyReport:
         return lines
 
 
-def _require_no_flags(g: WeightedGraph, route: str) -> None:
-    if g.backtrack:
-        raise ValueError(f"route {route} requires an empty backtrack set")
+class Applicability(NamedTuple):
+    """Whether a determinant route takes backtrack flags, weights off 1 by
+    more than 1e-12 and a local system; its variants, the default first."""
+
+    flags: bool
+    weights: bool
+    system: bool
+    variants: tuple[str, ...] = ()
 
 
-def has_unit_weights(g: WeightedGraph) -> bool:
-    """Every oriented weight within 1e-12 of 1: where the classical route applies."""
-    return all(abs(w - 1.0) <= 1e-12 for w in g.weight.values())
+def why_not(name: str, g: WeightedGraph, system=None) -> str | None:
+    """Why route name of ROUTES does not apply to g under system, or None."""
+    rule = ROUTES[name]
+    if system is not None and not rule.system:
+        return f"route {name} takes no local system"
+    if g.backtrack and not rule.flags:
+        return f"route {name} requires an empty backtrack set"
+    if not (rule.weights or all(abs(w - 1.0) <= 1e-12 for w in g.weight.values())):
+        return f"{name} route requires unit weights"
+    return None
+
+
+def _require(name: str, g: WeightedGraph, system=None) -> None:
+    if reason := why_not(name, g, system):
+        raise ValueError(reason)
 
 
 def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
@@ -110,7 +132,7 @@ def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
     """Factorization route: det of the vertex series times the roundtrip
     product, see _factorization.  Empty backtrack set only; with a local
     system the result is the reciprocal L-series."""
-    _require_no_flags(g, "sunada")
+    _require("sunada", g, system)
     series, vertex_dim = _factorization(g, M, system)
     return RouteResult("sunada", series, {"vertex_dimension": vertex_dim})
 
@@ -121,7 +143,7 @@ def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
     Entries: diagonal 1 + sum_{x'} u0^2 W/(1 - u0^2 W), off-diagonal
     -u0 w(x,x')/(1 - u0^2 W(x,x')).  Valid strictly inside the disc of
     radius min_e 1/sqrt(W(e)); raises outside or on the boundary."""
-    _require_no_flags(g, "sunada")
+    _require("sunada", g)
     verts, _ = canonical_order(g)
     vi = {x: i for i, x in enumerate(verts)}
     Ws = [g.weight[(u, v)] * g.weight[(v, u)] for u, v in g.edges]
@@ -181,8 +203,8 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     determinant is taken as det(1 - uL) of the sparse companion of this
     quadratic pencil in u, see _pencil_det.  The corrected variant is built
     on g.core, the as-printed one on g itself."""
-    _require_no_flags(g, "bass")
-    if variant not in ("corrected", "as-printed"):
+    _require("bass", g)
+    if variant not in ROUTES["bass"].variants:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "corrected":
         g = g.core
@@ -205,7 +227,7 @@ def backtrack_weight_constant(g: WeightedGraph, variant: str = "W") -> float:
     departure weight as the source displays it.  Symmetric flag sets make
     the sum empty, so the constant is exactly 0.
     """
-    if variant not in ("W", "w-squared"):
+    if variant not in ROUTES["partial"].variants:
         raise ValueError(f"unknown alpha variant {variant!r}")
     total = 0.0
     for x in g.vertices:
@@ -249,9 +271,7 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     """Unit-weight specialization (1-u^2)^{-chi} det(1 - uA + u^2 Q) with
     chi the Euler number; valid only when every weight is 1.  Built on
     g.core, which has the same Euler number."""
-    _require_no_flags(g, "classical")
-    if not has_unit_weights(g):
-        raise ValueError("classical route requires unit weights")
+    _require("classical", g)
     g = g.core
     nv = len(g.vertices)
     # L = [[A, -Q], [I, 0]] with Q = B_2 - I (valency - 1): the Ihara-Bass
@@ -267,6 +287,15 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     return RouteResult("classical", series, {"euler_number": chi})
 
 
+ROUTES = {
+    "fredholm": Applicability(True, True, True),
+    "sunada": Applicability(False, True, True),
+    "bass": Applicability(False, True, False, ("corrected", "as-printed")),
+    "partial": Applicability(True, True, False, ("W", "w-squared")),
+    "classical": Applicability(False, False, False),
+}
+
+# the builders of the routes in ROUTES, by the same names
 ROUTE_BUILDERS = {
     "fredholm": zeta_fredholm,
     "sunada": zeta_sunada,
@@ -276,43 +305,61 @@ ROUTE_BUILDERS = {
 }
 
 
+def route_series(name: str, g: WeightedGraph, M: int, system=None, variant=None) -> Series:
+    """Z^{-1}, or the reciprocal L-series under system, by the Euler
+    product ("oracle") or a route of ROUTES, whose variant defaults to its
+    first; raises ValueError where the route does not apply (judged by the
+    route function, or here for a system the route takes no argument for)."""
+    rule = ROUTES.get(name)
+    if rule is None and name != "oracle":
+        raise ValueError(f"unknown route {name!r}")
+    if variant is not None and not (rule and rule.variants):
+        raise ValueError(f"the {name} route takes no variant")
+    if rule is None:
+        return euler_product(g, M, system=system)
+    if system is None:
+        return ROUTE_BUILDERS[name](g, M, *[variant] if variant else []).series
+    if not rule.system:
+        raise ValueError(why_not(name, g, system))
+    return ROUTE_BUILDERS[name](g, M, system=system).series
+
+
 def cross_validate(
     g: WeightedGraph, M: int, include_experimental: bool = False, tol: float = 1e-9
 ) -> DiscrepancyReport:
     """Run the oracle plus every applicable route and compare pairwise.
 
-    Applicability: fredholm always; sunada and bass need no flags;
-    classical additionally needs unit weights; the partial formula runs for
-    symmetric flag sets, and for asymmetric ones only on request (it is
-    then marked experimental, since its exp(-alpha u^2) factor is not 1
-    there).  tol must be a finite number >= 0.
+    A route runs where why_not gives no reason, except that the partial
+    formula runs for nonempty symmetric flag sets, and for asymmetric ones
+    only on request (it is then marked experimental, since its
+    exp(-alpha u^2) factor is not 1 there).  A route whose determinant check
+    raises RefusalError is recorded as refused; every other error, the
+    oracle's too, propagates.  tol must be a finite number >= 0.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    series: dict[str, Series] = {}
-    series["oracle"] = euler_product(g, M)
-    series["fredholm"] = zeta_fredholm(g, M).series
     flags: list[str] = []
-    if not g.backtrack:
-        series["sunada"] = zeta_sunada(g, M).series
-        series["bass"] = zeta_bass(g, M).series
-        if has_unit_weights(g):
-            series["classical"] = zeta_classical(g, M).series
-    else:
-        if g.has_symmetric_backtrack():
-            series["partial"] = zeta_partial_formula(g, M).series
-        else:
-            flags.append("asymmetric-backtrack-set")
-            if include_experimental:
-                series["partial"] = zeta_partial_formula(g, M).series
-                flags.append("experimental:partial")
+    partial = bool(g.backtrack)
+    if g.backtrack and not g.has_symmetric_backtrack():
+        flags.append("asymmetric-backtrack-set")
+        partial = include_experimental
+        if partial:
+            flags.append("experimental:partial")
+    series: dict[str, Series] = {"oracle": euler_product(g, M)}
+    refused = []
+    for name in ROUTES:
+        if why_not(name, g) is None and (name != "partial" or partial):
+            try:
+                series[name] = ROUTE_BUILDERS[name](g, M).series
+            except RefusalError as exc:
+                refused.append((name, str(exc)))
     names = sorted(series)
     pairs = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             dev = max_deviation(series[a], series[b])
             pairs.append(PairVerdict(a, b, dev, coeffs_agree(series[a], series[b], tol)))
-    return DiscrepancyReport(M, tol, tuple(pairs), tuple(flags))
+    return DiscrepancyReport(M, tol, tuple(pairs), tuple(flags), tuple(refused))
 
 
 POLE_DIMENSION_CAP = 2000

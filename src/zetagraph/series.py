@@ -8,7 +8,7 @@ and complex128 once any coefficient is complex.  Binary operations
 zero-extend the shorter operand, so mixing orders is safe but the high
 coefficients of the result are only as meaningful as the inputs.
 times_sparse multiplies a series by sparse polynomial factors such as
-1 - w u^l in place, for the Euler and (1 - u^2)^-chi products.
+1 - w u^l in place, for the twisted Euler and (1 - u^2)^-chi products.
 
 Two determinants and Series.exp turn power sums into coefficients by the
 same Newton recursion.  fredholm_det expands det(1 - u*T) from the power
@@ -27,6 +27,8 @@ of log det P for the factorization route.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import RefusalError
 
 
 class Series:
@@ -159,33 +161,8 @@ def times_sparse(series: Series, factors) -> Series:
     c_n += sum_{k>=1} a_k c_{n - k*step} from the values before it, term by
     term in k; terms past the order are skipped, so a step above the order
     changes nothing.
-
-    When every imaginary part of the series is +0.0, the update first runs
-    on a list of the real parts, n stepping down so that c_{n - k*step}
-    still holds its value from before the factor.  With real a_k that gives
-    the bits of the complex update: a complex times a real a_k has real
-    part a_k x - 0 * 0 = a_k x, its imaginary part is a sum of signed zeros
-    that the +0.0 already there absorbs, and the real parts are summed in
-    the same order.  A complex a_k that takes part makes c_M complex, as
-    c_M takes every term of every factor, so the list result is kept only
-    where c_M is still real; elsewhere, as for a series with a -0.0
-    imaginary part, which the list would drop, the complex update runs.
-    So no coefficient is inspected before the update.  The a_k are Python
-    numbers or float64 and complex128 scalars; a float32 one would round
-    the list update to single precision.
     """
     m = series.order
-    imag = series.c.imag
-    if not (imag.any() or np.signbit(imag).any()):
-        c = series.c.real.tolist()
-        for a, step in factors:
-            for n in range(m, step - 1, -1):
-                k = 1
-                while k < len(a) and k * step <= n:
-                    c[n] += a[k] * c[n - k * step]
-                    k += 1
-        if not isinstance(c[m], complex):
-            return Series(c)
     c = series.coefficients()
     for a, step in factors:
         old = c.copy()
@@ -309,7 +286,7 @@ class MatrixSeries:
         power_sums: about M*deg matrix products, keeping the last deg terms
         of X.  det P has degree at most d*deg, so its _newton stops at
         m = min(M, d*deg), with exact zeros above; verify checks it and
-        raises ArithmeticError on a mismatch.
+        raises RefusalError on a mismatch.
 
         The recursion runs in the head's dtype, and each order takes two
         calls: one batched trace tr(C_j X_k) for every j, and one stacked
@@ -355,7 +332,7 @@ class MatrixSeries:
 
     def verify(self, result: Series) -> Series:
         """result checked against det P, to the order M of P; raises
-        ArithmeticError where they differ.
+        RefusalError where they differ.
 
         result is any series for det P, from the Jacobi recursion of det or
         from fredholm_det of the pencil's companion matrix.  det P is a
@@ -382,7 +359,7 @@ class MatrixSeries:
         return head.truncate(self.order)
 
     def _check_interpolation(self, result: Series, deg: int, n_pts: int) -> None:
-        """Raise ArithmeticError unless result matches det P coefficient by
+        """Raise RefusalError unless result matches det P coefficient by
         coefficient up to its order M <= d*deg.
 
         det P has degree at most d*deg, so its values at the N = n_pts > d*deg
@@ -422,14 +399,14 @@ class MatrixSeries:
         excess = np.abs(exact - result.c) - 1e-10 - resolution
         if not np.all(excess <= 0):
             n = int(np.argmax(excess))
-            raise ArithmeticError(
+            raise RefusalError(
                 f"determinant interpolation check failed at u^{n}: series and "
                 f"det P differ by {abs(exact[n] - result.c[n]):.3g} "
                 f"(tolerance {1e-10 + resolution[n]:.3g}, r={r:.3g})"
             )
 
     def _check_point_value(self, result: Series, deg: int) -> None:
-        """Raise ArithmeticError unless result(u0) matches det P(u0).
+        """Raise RefusalError unless result(u0) matches det P(u0).
 
         rho = max_k max_i |row_i C_k|^(1/k) and r = 1/max(1, 2 d deg rho) make
         each row of P(u) at most 1 + 1/(2d) long on |u| = r (r <= 1 keeps u0^k
@@ -447,7 +424,7 @@ class MatrixSeries:
         dev = abs(result(u0) - exact)
         tol = 3.0 * 100.0 ** -(self.order + 1) + 1e-10
         if not dev <= tol:
-            raise ArithmeticError(
+            raise RefusalError(
                 f"determinant point check failed at u0={u0:.3g}: series and "
                 f"det P(u0) differ by {dev:.3g} (tolerance {tol:.3g})"
             )

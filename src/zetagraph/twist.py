@@ -16,10 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .cycles import euler_product
 from .errors import GraphFormatError, GraphValidationError
 from .graph import OrientedEdge, ValidationReport, WeightedGraph, canonical_order
-from .routes import zeta_fredholm, zeta_sunada
+from .routes import route_series
 from .series import Series
 
 UNITARITY_TOL = 1e-10
@@ -107,25 +106,14 @@ def gauge_transform(
 
 
 def lfunction(g: WeightedGraph, system: LocalSystem, M: int, route: str = "determinant") -> Series:
-    """Reciprocal L-series by the requested route.
-
-    oracle: Euler product over prime cycles with holonomy determinant
-    factors (any backtrack set).  determinant: zeta_sunada, the vertex-space
-    factorization det times prod (1-u^2 W(e))^d; empty backtrack set only.
-    fredholm: zeta_fredholm, det(1 - u T_twisted) (any backtrack set).
-    """
+    """Reciprocal L-series by a route of routes.route_series, determinant
+    naming sunada: the vertex-space factorization, empty backtrack set only.
+    oracle (the Euler product with holonomy factors) and fredholm
+    (det(1 - u T_twisted)) take any backtrack set."""
     report = validate_local_system(g, system)
     if not report.ok:
         raise GraphValidationError(report)
-    if route == "oracle":
-        return euler_product(g, M, system=system)
-    if route == "fredholm":
-        return zeta_fredholm(g, M, system).series
-    if route != "determinant":
-        raise ValueError(f"unknown route {route!r}")
-    if g.backtrack:
-        raise ValueError("determinant route requires an empty backtrack set")
-    return zeta_sunada(g, M, system).series
+    return route_series("sunada" if route == "determinant" else route, g, M, system)
 
 
 def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
@@ -173,14 +161,7 @@ def load_local_system(document: dict, g: WeightedGraph) -> LocalSystem | None:
 
 def local_system_block(system: LocalSystem, g: WeightedGraph) -> dict:
     """Serializable form of a system; lists both orientations explicitly."""
-    transfers = []
-    for e in canonical_order(g)[1]:
-        U = system.transport(e)
-        transfers.append(
-            {
-                "u": e[0],
-                "v": e[1],
-                "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in U],
-            }
-        )
+    transfers = [{"u": u, "v": v, "matrix": [[[float(z.real), float(z.imag)] for z in row]
+                                             for row in system.transport((u, v))]}
+                 for u, v in canonical_order(g)[1]]
     return {"dim": system.dim, "transfers": transfers}

@@ -5,6 +5,7 @@ carry cycles of every interesting kind while keeping exponential-cost
 oracle enumeration inside the time budgets.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,19 @@ def exact_fredholm(mat, order):
     for k in range(1, order + 1):
         c.append(-sum(p[j] * c[k - j] for j in range(1, k + 1)) / k)
     return c
+
+
+def exact_euler_product(g, primes, order):
+    """prod over the prime edge sequences of (1 - w(p) u^l(p)) to the given
+    order, each w(p) the exact product of g's weights as Fractions, every
+    coefficient rounded once to a float: the untwisted oracle's reference,
+    the same in any order of the primes."""
+    c = [Fraction(1)] + [Fraction(0)] * order
+    for edges in primes:
+        w = math.prod(Fraction(g.weight[e]) for e in edges)
+        for k in range(order, len(edges) - 1, -1):
+            c[k] -= w * c[k - len(edges)]
+    return np.array([float(x) for x in c], dtype=np.complex128)
 
 
 def contract_ratio(got, exact):

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from zetagraph import fixtures
-from zetagraph.cli import main
+from zetagraph import fixtures, routes
+from zetagraph.cli import _openblas, main
+from zetagraph.errors import RefusalError
 from zetagraph.graph import make_graph, parse_graph, serialize_graph
+from zetagraph.routes import RouteResult
+from zetagraph.series import Series
 from zetagraph.twist import local_system_block, make_local_system
 
 
@@ -18,6 +21,17 @@ def gfile(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture(autouse=True)
+def blas_threads():
+    """main sets the BLAS thread count of the process; every test here
+    leaves it as it found it."""
+    openblas = _openblas()
+    before = openblas and openblas[0]()
+    yield openblas
+    if openblas:
+        openblas[1](before)
 
 
 def run(capsys, argv):
@@ -300,6 +314,81 @@ def test_thread_cap_env(gfile, capsys, monkeypatch):
     monkeypatch.setenv("ZETAGRAPH_THREADS", "4")
     code, _, _ = run(capsys, ["stats", path])
     assert code == 0
+
+
+def test_thread_cap_sets_the_blas_threads(gfile, capsys, monkeypatch, blas_threads):
+    if blas_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS here; ZETAGRAPH_THREADS leaves BLAS alone")
+    get, put = blas_threads
+    path = gfile("k3")
+    for env, before, after in ((None, 2, 1), ("2", 1, 2), ("1", 2, 1), ("0", 2, 2), ("0", 1, 1)):
+        if env is None:
+            monkeypatch.delenv("ZETAGRAPH_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ZETAGRAPH_THREADS", env)
+        put(before)
+        assert run(capsys, ["stats", path])[0] == 0
+        assert get() == after, env
+    for env in ("abc", "-2"):
+        monkeypatch.setenv("ZETAGRAPH_THREADS", env)
+        put(2)
+        code, _, err = run(capsys, ["stats", path])
+        assert code == 1 and "ZETAGRAPH_THREADS" in err and get() == 2
+
+
+def _refuse(g, M, *args):
+    raise RefusalError("refused by the test")
+
+
+def test_check_notes_a_refused_route_and_compares_the_rest(gfile, capsys, monkeypatch):
+    path = gfile("k3")
+    monkeypatch.setitem(routes.ROUTE_BUILDERS, "sunada", _refuse)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 0
+    assert err == "note: sunada refused: refused by the test\n"
+    assert out[0] == "routeA,routeB,max_dev,verdict"
+    assert len(out) == 7  # oracle/fredholm/bass/classical pairwise
+    assert all(line.endswith(",agree") and "sunada" not in line for line in out[1:])
+    for name in routes.ROUTE_BUILDERS:
+        monkeypatch.setitem(routes.ROUTE_BUILDERS, name, _refuse)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 1 and out == []
+    assert [line.split(":")[1] for line in err.splitlines()[:-1]] == [
+        " fredholm refused", " sunada refused", " bass refused", " classical refused"]
+    assert err.splitlines()[-1] == "error: fewer than two series left to compare"
+
+
+def test_check_fails_on_a_broken_route_rather_than_noting_it(gfile, capsys, monkeypatch):
+    """Only a determinant check's refusal is noted; a route whose series
+    does not start at 1, or that divides by zero, fails check."""
+    path = gfile("k3")
+
+    def shifted(g, M, *args):
+        return RouteResult("sunada", Series([2.0]), {})
+
+    def divides(g, M, *args):
+        return 1 / 0
+
+    for broken, message in ((shifted, "error: route sunada: constant coefficient is not 1\n"),
+                            (divides, "error: division by zero\n")):
+        monkeypatch.setitem(routes.ROUTE_BUILDERS, "sunada", broken)
+        code, out, err = run(capsys, ["check", path])
+        assert (code, out, err) == (1, [], message)
+
+
+@pytest.mark.parametrize("weight", [1.25, 2.5])
+def test_check_on_heavy_k4_notes_the_bass_refusal(gfile, capsys, weight):
+    """bass's interpolation check refuses at u^18; the oracle, fredholm and
+    sunada are exact there and agree."""
+    v = "pqrs"
+    k4 = make_graph(v, [(a, b, weight, weight) for i, a in enumerate(v) for b in v[i + 1:]])
+    code, out, err = run(capsys, ["check", gfile("k4h", serialize_graph(k4)), "--order", "18"])
+    assert code == 0
+    assert len(err.splitlines()) == 1
+    assert err.startswith("note: bass refused: determinant interpolation check failed at u^18")
+    assert [line.rsplit(",", 2)[0] for line in out[1:]] == [
+        "fredholm,oracle", "fredholm,sunada", "oracle,sunada"]
+    assert all(line.endswith(",agree") for line in out[1:])
 
 
 def test_usage_errors_exit_1(capsys):

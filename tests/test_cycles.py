@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import complex_times_sparse, random_graph, random_unitary
+from conftest import (complete_graph, complex_times_sparse, exact_euler_product, exact_fredholm,
+                      random_graph, random_unitary)
 from zetagraph import fixtures
 from zetagraph.cli import main
 from zetagraph.cycles import (
@@ -113,6 +114,18 @@ def test_corrected_mode_agrees_with_strict(rng):
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         compute_Nm(CAT["k3"], 4, mode="lenient")
+
+
+def test_untwisted_oracle_is_the_exact_determinant_rounded_once():
+    """Every coefficient is exact and rounded once, above dim T too, where
+    the float product left noise on heavy graphs (K4 has dim T = 12)."""
+    cases = [(g, range(1, 21)) for g in CAT.values()]
+    cases += [(complete_graph(4, w), (18, 20)) for w in (1.25, 1.5, 2.5)]
+    for g, orders in cases:
+        exact = exact_fredholm(transfer_matrix(g).dense(), max(orders))
+        for M in orders:
+            want = np.array([float(c) for c in exact[: M + 1]], dtype=np.complex128)
+            assert euler_product(g, M).c.tobytes() == want.tobytes(), (len(g.edges), M)
 
 
 def test_euler_product_matches_fredholm(rng):
@@ -250,13 +263,16 @@ def _reference_prime_cycles(g, L, system=None):
 
 
 def _reference_euler_product(g, M, system=None):
-    """The Euler product over the primes of _reference_prime_cycles, by the
-    complex coefficient update."""
+    """The Euler product over the primes of _reference_prime_cycles: exact
+    and rounded once without a system, by the complex coefficient update
+    with one."""
+    primes = [rec for rec in _reference_prime_cycles(g, M, system) if rec.is_prime]
+    if system is None:
+        return exact_euler_product(g, [rec.edges for rec in primes], M)
     factors = []
-    for rec in _reference_prime_cycles(g, M, system):
-        if rec.is_prime:
-            charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
-            factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
+    for rec in primes:
+        charpoly = fredholm_det(rec.holonomy, system.dim).c
+        factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
     return complex_times_sparse(Series.one(M).c, factors)
 
 
@@ -320,16 +336,18 @@ def _sorted_records(classes, edges, system):
     return records
 
 
-def _sorted_euler_product(records, M, system):
-    """euler_product's factors in the order of the sorted records, each from
-    the general characteristic-polynomial form."""
+def _sorted_euler_product(g, records, M, system):
+    """euler_product in the order of the sorted records: exact and rounded
+    once without a system, each factor from the general
+    characteristic-polynomial form with one."""
+    primes = [rec for rec in records if rec.is_prime]
+    if system is None:
+        return exact_euler_product(g, [rec.edges for rec in primes], M)
     factors = []
-    for rec in records:
-        if rec.is_prime:
-            charpoly = (1.0, -1.0) if system is None else fredholm_det(rec.holonomy, system.dim).c
-            w = rec.weight
-            factors.append(([a * w ** k for k, a in enumerate(charpoly)], rec.length))
-    return times_sparse(Series.one(M), factors)
+    for rec in primes:
+        charpoly = fredholm_det(rec.holonomy, system.dim).c
+        factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
+    return times_sparse(Series.one(M), factors).c
 
 
 def _primes_csv(records):
@@ -385,6 +403,6 @@ def test_walk_order_replaces_sorts(rng, tmp_path, capsys):
                     assert all(a.holonomy.tobytes() == b.holonomy.tobytes()
                                for a, b in zip(got, records))
                 assert (euler_product(g, L, system=sys_).c.tobytes()
-                        == _sorted_euler_product(records, L, sys_).c.tobytes())
+                        == _sorted_euler_product(g, records, L, sys_).tobytes())
             assert main(["primes", str(path), "--max-len", str(L)]) == 0
             assert capsys.readouterr().out == _primes_csv(_sorted_records(classes, edges, None))

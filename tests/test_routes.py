@@ -8,13 +8,15 @@ from zetagraph.graph import make_graph
 from zetagraph.operators import transfer_matrix
 from zetagraph.routes import (
     ROUTE_BUILDERS,
+    ROUTES,
     RouteResult,
     backtrack_weight_constant,
     cross_validate,
-    has_unit_weights,
     poles_csv_lines,
+    route_series,
     spectrum_poles,
     sunada_point_value,
+    why_not,
     zeta_bass,
     zeta_classical,
     zeta_fredholm,
@@ -145,6 +147,42 @@ def test_route_preconditions():
         zeta_classical(CAT["wt3"], 4)
 
 
+# the fixtures and four seeded random graphs of each flag mode
+_rng = np.random.default_rng(26)
+TABLE_GRAPHS = list(CAT.items()) + [
+    (f"{mode}-{i}", random_graph(_rng, max_vertices=6, backtrack=mode))
+    for mode in ("none", "symmetric", "any") for i in range(4)]
+
+
+@pytest.mark.parametrize("g", [g for _, g in TABLE_GRAPHS], ids=[n for n, _ in TABLE_GRAPHS])
+def test_routes_refuse_exactly_where_their_table_entry_gives_a_reason(g):
+    system = trivial_system(g)
+    calls = [(name, None, lambda name=name: ROUTE_BUILDERS[name](g, 8)) for name in ROUTES]
+    calls += [(name, system, lambda name=name: ROUTE_BUILDERS[name](g, 8, system))
+              for name in ("fredholm", "sunada")]
+    calls += [(name, system, lambda name=name: route_series(name, g, 8, system))
+              for name in ROUTES]
+    for name, sys_, call in calls:
+        reason = why_not(name, g, sys_)
+        if reason is None:
+            call()
+        else:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == reason, (name, sys_)
+
+
+def test_table_reasons_are_the_routes_messages():
+    assert why_not("sunada", CAT["k3s"]) == "route sunada requires an empty backtrack set"
+    assert why_not("classical", CAT["wt3"]) == "classical route requires unit weights"
+    assert why_not("bass", CAT["k3"], trivial_system(CAT["k3"])) == (
+        "route bass takes no local system")
+    assert [name for name in ROUTES if why_not(name, CAT["k4"]) is None] == [
+        "fredholm", "sunada", "bass", "partial", "classical"]
+    assert [name for name in ROUTES if why_not(name, CAT["bt2"]) is None] == [
+        "fredholm", "partial"]
+
+
 def test_trees_give_constant_one(rng):
     graphs = [CAT["p3"], unit_edge()]
     graphs += [random_graph(rng, max_vertices=7, extra_edges=0) for _ in range(5)]
@@ -245,7 +283,8 @@ def test_hard_determinants_are_refused_or_within_the_contract():
              complete_graph(7, 1.0), complete_graph(8, 1.0)]
     for g in cases:
         exact = exact_fredholm(transfer_matrix(g).dense(), 24)
-        for route in (zeta_bass, zeta_classical) if has_unit_weights(g) else (zeta_bass,):
+        unit = why_not("classical", g) is None
+        for route in (zeta_bass, zeta_classical) if unit else (zeta_bass,):
             for M in (12, 16, 20, 24):
                 if route is zeta_bass and len(g.vertices) == 8 and M == 24:
                     continue  # still wrong (ratio 134) and accepted by the point check
@@ -350,7 +389,8 @@ def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monk
     twins = [make_graph(g.vertices, [(u, v, 1.0, 1.0) for u, v in g.edges]) for g in weighted]
     cases = [(g, "bass", variant) for g in fixed + weighted
              for variant in ("corrected", "as-printed")]
-    cases += [(g, "classical", "corrected") for g in fixed + twins if has_unit_weights(g)]
+    cases += [(g, "classical", "corrected") for g in fixed + twins
+              if why_not("classical", g) is None]
     compared = 0
     for g, name, variant in cases:
         head = dense_pencils(g, variant)[name]
