@@ -21,4 +21,4 @@ class ResourceCapError(RuntimeError):
 
 
 class RefusalError(ArithmeticError):
-    """Raised when a determinant check finds a series off by more than its tolerance."""
+    """Raised when a route cannot certify a coefficient to the 1e-9 contract."""

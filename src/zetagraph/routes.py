@@ -3,12 +3,14 @@ against the cycle oracle.
 
 Every route returns Z(u)^{-1} as a truncated series.  The Fredholm route
 det(1 - uT) is normative; the factorization, block-determinant, partial
-product, and unit-weight routes are independent computations checked
-against it coefficient by coefficient; the factorization adds its two
-factors' power sums and takes one Newton step.  Their matrices, and those of
-spectrum_poles, are built on the graph's leafless core (WeightedGraph.core),
-which has the same zeta and L-functions; applicability is judged on the
-graph itself, once, by why_not from the route's entry in ROUTES.
+product, and unit-weight routes are independent computations checked against
+it coefficient by coefficient.  Each adds the power sums of its factors and
+ends in one guarded Newton step, which refuses a coefficient it cannot
+certify (see _exact_where_refused for the exceptions).  Their matrices, and
+those of spectrum_poles, are built on the graph's leafless core
+(WeightedGraph.core), which has the same zeta and L-functions; applicability
+is judged on the graph itself, once, by why_not from the route's entry in
+ROUTES.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
-from .series import (MatrixSeries, Series, _newton, coeffs_agree, fredholm_det, max_deviation,
-                     times_sparse)
+from .series import Series, coeffs_agree, exact_fredholm_det, fredholm_det, max_deviation
 
 
 @dataclass(frozen=True)
@@ -101,31 +102,44 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
 
     With a local system T is twisted and the result is the reciprocal
     L-series; the zeta function is the trivial one-dimensional case.  T is
-    built on g.core, which has the same determinant."""
+    built on g.core, which has the same determinant.  Untwisted, T holds the
+    weights themselves and is exact for _exact_where_refused."""
     T = transfer_matrix(g.core, system)
-    return RouteResult("fredholm", fredholm_det(T.mat, M), {"dimension": T.mat.shape[0]})
+    series = _exact_where_refused(T.mat, M, system is None)
+    return RouteResult("fredholm", series, {"dimension": T.mat.shape[0]})
 
 
-def _factorization(g: WeightedGraph, M: int, system=None) -> tuple[Series, int]:
-    """det(1 - uT), for every backtrack set, and the vertex dimension.
+def _exact_where_refused(mat, M: int, exact: bool, extra=None) -> Series:
+    """fredholm_det(mat, M, extra), or where its guard refuses and mat holds
+    the route's exact numbers, exact_fredholm_det within its budget."""
+    try:
+        return fredholm_det(mat, M, extra)
+    except RefusalError:
+        if exact and (series := exact_fredholm_det(mat, M, extra)) is not None:
+            return series
+        raise
+
+
+def _factorization(g: WeightedGraph, M: int, system=None, alpha=0.0) -> tuple[Series, int]:
+    """det(1 - uT) exp(-alpha u^2), for every backtrack set, and dim P.
 
     log det(1 - uT) = log det P + d sum_e log(1 - u^2 W(e)) over the pairs
     with no flagged orientation, P the vertex series and d the system's
-    dimension.  MatrixSeries.det certifies det P and keeps the power sums of
-    log det P; each pair adds 2d W(e)^k to p_2k, d W^k per orientation, and
-    one _newton takes them to the degree dim T = |OE| d, with exact zeros
-    above.  det P and the roundtrip product, which grow while their product
-    stays small, are never multiplied.  Built on g.core, as are its pairs."""
+    dimension: each pair adds 2d W(e)^k to the power sum p_2k, d W^k per
+    orientation, and exp(-alpha u^2) adds 2 alpha to p_2.  MatrixSeries.det
+    adds them to its sums, up to the degree dim T = |OE| d (M where alpha is
+    not 0): det P and the roundtrip product, which grow while their product
+    stays small, are never expanded.  Built on g.core, as are its pairs."""
     g = g.core
     ms = vertex_series(*incidence_maps(g, system), M)
-    ms.det()
     dim = 1 if system is None else system.dim
     _, edges, _, _, reversal, weight, unflagged = g.edge_arrays
-    n = min(M, dim * len(edges))
+    n = M if alpha else min(M, dim * len(edges))
     W = (weight * weight[reversal])[unflagged & unflagged[reversal]]
-    p = ms.power_sums[: n + 1].copy()
-    p[2::2] += dim * np.power.outer(W, np.arange(1, n // 2 + 1)).sum(axis=0)
-    return _newton(p).truncate(M), ms.dim
+    extra = np.zeros(n + 1)
+    extra[2::2] = dim * np.power.outer(W, np.arange(1, n // 2 + 1)).sum(axis=0)
+    extra[2:3] += 2 * alpha
+    return ms.det(extra), ms.dim
 
 
 def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
@@ -166,8 +180,9 @@ def sunada_point_value(g: WeightedGraph, u0: complex) -> complex:
     return complex(value)
 
 
-def _pencil_det(d: int, band, M: int) -> Series:
-    """det(I + u C_1 + u^2 C_2) of dimension d as det(1 - uL), checked.
+def _pencil_det(d: int, band, M: int, extra=None) -> Series:
+    """det(I + u C_1 + u^2 C_2) of dimension d as det(1 - uL), times
+    exp(-sum_j extra_j u^j / j) where extra is given (see fredholm_det).
 
     L = [[-C_1, -C_2], [I, 0]] is the pencil's 2d x 2d companion matrix
     (Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982): the Schur
@@ -175,21 +190,16 @@ def _pencil_det(d: int, band, M: int) -> Series:
     is as sparse as C_1 and C_2.  band lists its upper d x 2d band
     [-C_1, -C_2] as (row offset, column offset, scale, CSR block) pieces,
     summed where they overlap; L is assembled once from their concatenated
-    coordinate arrays.  fredholm_det(L) gives the series and the pencil's
-    own MatrixSeries.verify checks it."""
+    coordinate arrays.  An integer-valued L (integer weights) is exact for
+    _exact_where_refused."""
     rows, cols, vals = [np.arange(d, 2 * d)], [np.arange(d)], [np.ones(d)]
-    top = np.zeros((d, 2 * d))
     for r0, c0, scale, block in band:
-        r = r0 + np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-        c, v = c0 + block.indices, scale * block.data
-        np.add.at(top, (r, c), v)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+        rows.append(r0 + np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)))
+        cols.append(c0 + block.indices)
+        vals.append(scale * block.data)
     L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(2 * d, 2 * d))
-    pencil = MatrixSeries([np.eye(d), -top[:, :d], -top[:, d:]], M)
-    return pencil.verify(fredholm_det(L, M))
+    return _exact_where_refused(L, M, not np.any(L.data % 1), extra)
 
 
 def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResult:
@@ -202,7 +212,8 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     the as-printed one is retained to document the discrepancy.  The
     determinant is taken as det(1 - uL) of the sparse companion of this
     quadratic pencil in u, see _pencil_det.  The corrected variant is built
-    on g.core, the as-printed one on g itself."""
+    on g.core, the as-printed one on g itself.  The corrected determinant is
+    det(1 - uT), so its power sums stop at dim T = |OE|."""
     _require("bass", g)
     if variant not in ROUTES["bass"].variants:
         raise ValueError(f"unknown variant {variant!r}")
@@ -214,7 +225,8 @@ def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResu
     band = [(0, 0, 1.0, zigzag_matrix(g, 1).mat), (nv, 0, -1.0, spread),
             (nv, nv, -1.0, flip), (0, nv + ne, -1.0, zigzag_matrix(g, 2).mat),
             (0, 2 * nv + ne, -1.0, corner)]
-    series = _pencil_det(nv + ne, band, M)
+    extra = np.zeros(min(M, ne) + 1) if variant == "corrected" else None
+    series = _pencil_det(nv + ne, band, M, extra)
     return RouteResult("bass", series, {"variant": variant, "block_sizes": (nv, ne)})
 
 
@@ -246,16 +258,13 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
     det(vertex series) * prod over unoriented edges with no flagged
     orientation (1 - u^2 W) * exp(-alpha u^2).
 
-    The first two factors are _factorization, which equals det(1 - uT)
-    for every flag set; the exponential, no polynomial, multiplies it after.
-    So the route deviates from the Fredholm determinant by exactly the
-    factor exp(-alpha u^2).  Symmetric flag sets have alpha = 0 and the
-    route is exact; on one-sided flag sets the deviation is flagged, not
-    fixed."""
+    The three factors are _factorization: the first two equal det(1 - uT)
+    for every flag set, and the exponential adds 2 alpha to p_2.  So the
+    route deviates from the Fredholm determinant by exactly exp(-alpha u^2).
+    Symmetric flag sets have alpha = 0 and the route is exact; on one-sided
+    flag sets the deviation is flagged, not fixed."""
     alpha = backtrack_weight_constant(g, alpha_variant)
-    series, _ = _factorization(g, M)
-    if alpha != 0.0:
-        series = series * Series([0.0, 0.0, -alpha], order=M).exp()
+    series, _ = _factorization(g, M, alpha=alpha)
     return RouteResult(
         "partial",
         series,
@@ -269,8 +278,9 @@ def zeta_partial_formula(g: WeightedGraph, M: int, alpha_variant: str = "W") -> 
 
 def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     """Unit-weight specialization (1-u^2)^{-chi} det(1 - uA + u^2 Q) with
-    chi the Euler number; valid only when every weight is 1.  Built on
-    g.core, which has the same Euler number."""
+    chi the Euler number; valid only when every weight is 1.  The factor
+    (1 - u^2)^-chi adds -2 chi to every even power sum of the companion's,
+    up to the degree dim T = 2|E|.  Built on g.core, as is chi."""
     _require("classical", g)
     g = g.core
     nv = len(g.vertices)
@@ -278,13 +288,10 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     # matrix of Kotani and Sunada (2000)
     band = [(0, 0, 1.0, zigzag_matrix(g, 1).mat), (0, nv, -1.0, zigzag_matrix(g, 2).mat),
             (0, nv, 1.0, sp.identity(nv, format="csr"))]
-    det = _pencil_det(nv, band, M)
     chi = len(g.vertices) - len(g.edges)
-    if chi == 1:  # a tree: (1 - u^2)^-1 = 1 + u^2 + u^4 + ...
-        series = det * Series([1.0, 0.0] * (M // 2 + 1), order=M)
-    else:
-        series = times_sparse(det, [((1.0, -1.0), 2)] * -chi)
-    return RouteResult("classical", series, {"euler_number": chi})
+    extra = np.zeros(min(M, 2 * len(g.edges)) + 1)
+    extra[2::2] = -2.0 * chi
+    return RouteResult("classical", _pencil_det(nv, band, M, extra), {"euler_number": chi})
 
 
 ROUTES = {
@@ -332,8 +339,8 @@ def cross_validate(
     A route runs where why_not gives no reason, except that the partial
     formula runs for nonempty symmetric flag sets, and for asymmetric ones
     only on request (it is then marked experimental, since its
-    exp(-alpha u^2) factor is not 1 there).  A route whose determinant check
-    raises RefusalError is recorded as refused; every other error, the
+    exp(-alpha u^2) factor is not 1 there).  A route whose guard raises
+    RefusalError is recorded as refused; every other error, the
     oracle's too, propagates.  tol must be a finite number >= 0.
     """
     if not 0.0 <= tol < np.inf:

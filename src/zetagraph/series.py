@@ -8,20 +8,17 @@ and complex128 once any coefficient is complex.  Binary operations
 zero-extend the shorter operand, so mixing orders is safe but the high
 coefficients of the result are only as meaningful as the inputs.
 times_sparse multiplies a series by sparse polynomial factors such as
-1 - w u^l in place, for the twisted Euler and (1 - u^2)^-chi products.
+1 - w u^l in place, for the twisted Euler product.
 
-Two determinants and Series.exp turn power sums into coefficients by the
-same Newton recursion.  fredholm_det expands det(1 - u*T) from the power
-traces tr T^j, multiplying T (sparse or dense) into blocks of TRACE_BLOCK
-identity columns, so a single code path serves every matrix representation
-in O(n * TRACE_BLOCK) memory, and a sparse T gives the very bits of dense
-n x n powers.  MatrixSeries.det takes the determinant of a matrix-valued
-series P = sum C_k u^k with C_0 = I by Jacobi's formula
-(log det P)' = tr(P^-1 P') and checks the result against det P itself,
-raising instead of returning a series it cannot certify.  That check is
-MatrixSeries.verify, which also certifies a det P taken another way, such as
-fredholm_det of the pencil's companion matrix.  det keeps the power sums
-of log det P for the factorization route.
+Two determinants and Series.exp turn power sums into coefficients by one
+Newton recursion, _newton, which is also their certificate: it estimates
+each coefficient's error and raises RefusalError where the estimate passes
+the coefficient contract.  fredholm_det takes the power traces tr T^j of a
+sparse or dense T, and MatrixSeries.det the power sums of log det P for
+P = sum C_k u^k by Jacobi's formula.  Both add the power sums of another
+factor before the Newton step, as the routes do for the roundtrip product,
+(1 - u^2)^-chi and exp(-alpha u^2).  exact_fredholm_det recomputes
+fredholm_det in integers and Fractions.
 """
 
 from __future__ import annotations
@@ -178,32 +175,62 @@ def times_sparse(series: Series, factors) -> Series:
 # identity columns per block of the power traces in fredholm_det
 TRACE_BLOCK = 64
 
+# the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
+CONTRACT = 1e-9
 
-def fredholm_det(mat, order: int) -> Series:
-    """det(1 - u*mat) to the given order, from power traces.
+# the most work exact_fredholm_det takes on: stored entries x dimension x powers
+EXACT_BUDGET = 5 * 10**6
 
-    Uses the recursion c_k = -(1/k) * sum_{j=1..k} p_j c_{k-j} with
-    p_j = tr(mat^j), which is the coefficient form of
-    log det(1 - u*mat) = -sum_j u^j tr(mat^j) / j.  The determinant is a
-    polynomial of degree at most dim mat, so the traces stop there and the
-    coefficients above it are exact zeros.
+_EPS = np.finfo(float).eps
 
-    The powers are taken TRACE_BLOCK identity columns at a time: each block
-    is multiplied by mat up to m = min(order, n) times and leaves its
-    diagonal entries in an (m+1) x n array, whose rows sum to the traces.
-    The working set is O(n * TRACE_BLOCK) instead of dense n x n powers.  A
-    sparse (CSR) product computes each column row by row in stored order,
-    whatever the block width, so the traces are the bits of the full dense
-    powers; the diagonal keeps the power's dtype, as a complex sum of real
-    entries would group its terms differently.  A dense ndarray wider than
-    one block goes through BLAS block by block, which may move the last bits
-    (a few 1e-15 relative); only tests and the d x d holonomies of
-    cycles.euler_product pass ndarrays.
+
+def _newton(p: np.ndarray, rounding=0.0) -> Series:
+    """Coefficients c_k = -(1/k) sum_{j=1..k} p_j c_{k-j} of
+    exp(-sum_j p_j u^j / j) from the power sums p_1..p_M (p[0] is ignored).
+
+    Beside c_k runs the estimate of its error (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3): the sum's own rounding, the
+    earlier errors carried forward, and rounding_j, the error estimate of
+    p_j (a scalar or an array like p),
+    e_k = (1/k) sum_j [|p_j| (eps |c_{k-j}| + e_{k-j}) + rounding_j |c_{k-j}|].
+    Where e_k exceeds CONTRACT (1 + max(1, |c_k|)) it raises RefusalError.
     """
-    if hasattr(mat, "mat"):
-        mat = mat.mat
+    order = len(p) - 1
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[0] = 1.0
+    for k in range(1, order + 1):
+        c[k] = -np.dot(p[1 : k + 1], c[k - 1 :: -1][: k]) / k
+    size, mag = np.abs(p), np.abs(c)
+    weight = _EPS * size + rounding
+    size[0] = weight[0] = 0.0
+    err = np.convolve(weight, mag)[: order + 1]  # the terms in |c| alone
+    for k in range(1, order + 1):
+        err[k] = (err[k] + np.dot(size[1 : k + 1], err[k - 1 :: -1])) / k
+    tol = CONTRACT * (1.0 + np.maximum(1.0, mag))
+    if not np.all(err <= tol):
+        k = int(np.argmin(err <= tol))
+        raise RefusalError(f"Newton's recursion cannot certify u^{k}: error estimate "
+                           f"{err[k]:.3g} exceeds the contract {tol[k]:.3g}")
+    return Series(c)
+
+
+def fredholm_det(mat, order: int, extra=None) -> Series:
+    """det(1 - u*mat) = exp(-sum_j u^j tr(mat^j) / j) to the given order,
+    times exp(-sum_j extra_j u^j / j) where extra is given, by _newton.
+
+    The traces stop at the degree, n = dim mat or len(extra) - 1, with exact
+    zeros above.  The powers are taken TRACE_BLOCK identity columns at a
+    time, in O(n * TRACE_BLOCK) memory.  A sparse (CSR) product computes
+    each column row by row in stored order, so the traces are the bits of
+    full dense powers; a dense ndarray wider than one block goes through
+    BLAS block by block, which may move the last bits.  The diagonal keeps
+    the power's dtype, as a complex sum of real entries would group its
+    terms differently.  The error estimate of each power sum is eps times
+    the sum of the |terms| it adds, which sees their cancellation.
+    """
+    mat = getattr(mat, "mat", mat)
     n = mat.shape[0]
-    m = min(order, n)
+    m = min(order, n) if extra is None else len(extra) - 1
     diag = np.zeros((m + 1, n), dtype=np.result_type(mat.dtype, np.float64))
     for start in range(0, n, TRACE_BLOCK):
         block = slice(start, min(start + TRACE_BLOCK, n))
@@ -212,23 +239,40 @@ def fredholm_det(mat, order: int) -> Series:
         for j in range(1, m + 1):
             power = mat @ power
             diag[j, block] = power[block].diagonal()
-    p = np.zeros(m + 1, dtype=np.complex128)
-    for j in range(1, m + 1):
-        p[j] = diag[j].sum()
-    return _newton(p).truncate(order)
+    p, size = diag.sum(axis=1).astype(np.complex128), np.abs(diag).sum(axis=1)
+    if extra is not None:
+        p, size = p + extra, size + np.abs(extra)
+    return _newton(p, _EPS * size).truncate(order)
 
 
-def _newton(p: np.ndarray) -> Series:
-    """Coefficients of exp(-sum_{j>=1} p_j u^j / j) from the power sums p_1..p_M.
+def exact_fredholm_det(mat, order: int, extra=None) -> Series | None:
+    """fredholm_det of a real CSR mat in exact arithmetic, each coefficient
+    rounded once; None where the work would exceed EXACT_BUDGET.
 
-    c_k = -(1/k) * sum_{j=1..k} p_j c_{k-j}; entry p[0] is ignored.
+    Every float is dyadic, so N = 2^s mat is an integer matrix for 2^s the
+    largest denominator, and tr(mat^j) = tr(N^j) / 2^(sj): the powers of N
+    are taken row by row in Python integers, and Newton's recursion runs in
+    Fractions on the traces plus extra.
     """
-    order = len(p) - 1
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        c[k] = -np.dot(p[1 : k + 1], c[k - 1 :: -1][: k]) / k
-    return Series(c)
+    from fractions import Fraction
+
+    n = mat.shape[0]
+    m = min(order, n) if extra is None else len(extra) - 1
+    if mat.nnz * n * m > EXACT_BUDGET:
+        return None
+    ratios = [float(x).as_integer_ratio() for x in mat.data]
+    s = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    data = np.array([a << (s - d.bit_length() + 1) for a, d in ratios], dtype=object)
+    rows = [slice(a, b) for a, b in zip(mat.indptr[:-1], mat.indptr[1:])]
+    power = np.identity(n, dtype=int).astype(object)
+    p = [Fraction(0)] * (m + 1) if extra is None else [Fraction(float(x)) for x in extra]
+    for j in range(1, m + 1):
+        power = np.array([data[r] @ power[mat.indices[r]] for r in rows], dtype=object)
+        p[j] += Fraction(int(power.trace()), 1 << (s * j))
+    c = [Fraction(1)]
+    for k in range(1, m + 1):
+        c.append(-sum(p[j] * c[k - j] for j in range(1, k + 1)) / k)
+    return Series([float(x) for x in c], order=order)
 
 
 class MatrixSeries:
@@ -240,11 +284,11 @@ class MatrixSeries:
     the coefficients above it are zero up to the order, which defaults to
     len(coefficients) - 1.  The head keeps its coefficients' dtype, at least
     float64 (np.result_type(np.float64, *coefficients)): real coefficients
-    are stored, and the determinant and its checks run, in float64, and
-    complex ones in complex128.  power_sums is None until det runs.
+    are stored, and the determinant runs, in float64, and complex ones in
+    complex128.
     """
 
-    __slots__ = ("coeffs", "order", "power_sums")
+    __slots__ = ("coeffs", "order")
 
     def __init__(self, coefficients, order: int | None = None):
         if len(coefficients) == 0:
@@ -263,7 +307,6 @@ class MatrixSeries:
         head = head[: deg + 1]
         head.flags.writeable = False
         self.coeffs = head
-        self.power_sums = None
 
     @property
     def dim(self) -> int:
@@ -276,48 +319,49 @@ class MatrixSeries:
                 out[i + j] = out[i + j] + a @ b
         return MatrixSeries(out, max(self.order, other.order))
 
-    def det(self) -> Series:
-        """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula.
+    def det(self, extra=None) -> Series:
+        """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula,
+        times exp(-sum_j extra_j u^j / j) where extra is given, by _newton.
 
         With X = P^-1 from X_0 = I, X_k = -sum_{j=1..min(k,deg)} C_j X_{k-j},
         where C_deg ends the stored head, (log det P)' = tr(X P')
         gives the power sums n l_n = sum_{k=1..min(n,deg)} k tr(C_k X_{n-k})
-        of log det P = sum l_n u^n to the order M, kept as p_n = -n l_n in
-        power_sums: about M*deg matrix products, keeping the last deg terms
-        of X.  det P has degree at most d*deg, so its _newton stops at
-        m = min(M, d*deg), with exact zeros above; verify checks it and
-        raises RefusalError on a mismatch.
+        of log det P = sum l_n u^n, as p_n = -n l_n, each estimated to eps
+        times the sum of the |terms| it adds: about m*deg matrix products,
+        keeping the last deg terms of X.  They stop at the degree m, d*deg or
+        len(extra) - 1 <= M, with exact zeros above (det P itself is never
+        expanded with extra), and each p_n is summed over k in increasing
+        order, so a stop at m keeps its bits.
 
         The recursion runs in the head's dtype, and each order takes two
         calls: one batched trace tr(C_j X_k) for every j, and one stacked
-        product C_j X_{k+1-j} of every j, summed over j in increasing order
-        (the order of separate products added one by one).  A real product
-        is taken as (X^T C^T)^T: with the OpenBLAS that numpy ships, at
-        d <= 100, that rounds as the real part of the complex product does,
-        so a real head gives the bits of its complex cast (checked on every
-        bench graph), while C X itself does not.  The X_k fill a buffer of
-        deg slots from the last down, so that X_k, X_{k-1}, ... is always a
-        forward slice; only for M > deg do the slots shift.  Each p_n is
-        summed over k in increasing order, with the bits of a stop at m.
+        product C_j X_{k+1-j} of every j, summed over j in increasing order.
+        A real product is taken as (X^T C^T)^T: with the OpenBLAS that numpy
+        ships, at d <= 100, that rounds as the real part of the complex
+        product does, so a real head gives the bits of its complex cast
+        (checked on every bench graph), while C X itself does not.  The X_k
+        fill a buffer of deg slots from the last down, so that X_k, X_{k-1},
+        ... is always a forward slice.
         """
         C = self.coeffs
         d, deg = self.dim, len(C) - 1
         if np.max(np.abs(C[0] - np.eye(d))) > 1e-12:
             raise ValueError("constant coefficient must be the identity")
-        M = self.order
-        p = self.power_sums = np.zeros(M + 1, dtype=C.dtype)  # p_n = -n l_n
-        if deg == 0:
-            return Series.one(M)
+        m = min(self.order, d * deg) if extra is None else len(extra) - 1
+        p = np.zeros(m + 1, dtype=C.dtype)  # p_n = -n l_n
+        size = np.zeros(m + 1)  # sum_k k |tr(C_k X_{n-k})|
         weights = np.arange(1, deg + 1)
-        X = np.empty((deg, d, d), dtype=C.dtype)  # X_k, X_{k-1}, ... from X[top]
-        top = deg - 1
+        X = np.empty((max(deg, 1), d, d), dtype=C.dtype)  # X_k, X_{k-1}, ... from X[top]
+        top = len(X) - 1
         X[top] = np.eye(d)
         real = np.isrealobj(C)
         Ct, Xt = C.transpose(0, 2, 1), X.transpose(0, 2, 1)
-        for k in range(M):
-            J = min(deg, M - k)
-            p[k + 1 : k + J + 1] -= weights[:J] * np.einsum("jab,ba->j", C[1 : J + 1], X[top])
-            if k + 1 < M:
+        for k in range(m):
+            J = min(deg, m - k)
+            terms = weights[:J] * np.einsum("jab,ba->j", C[1 : J + 1], X[top])
+            p[k + 1 : k + J + 1] -= terms
+            size[k + 1 : k + J + 1] += np.abs(terms)
+            if k + 1 < m:
                 J = min(k + 1, deg)
                 if real:
                     nxt = np.matmul(Xt[top : top + J], Ct[1 : J + 1]).sum(axis=0).T
@@ -328,103 +372,6 @@ class MatrixSeries:
                 else:  # X_{k+1-deg} is needed no more
                     X[1:] = X[:-1]
                 np.negative(nxt, out=X[top])
-        return self.verify(_newton(p[: min(M, d * deg) + 1]))
-
-    def verify(self, result: Series) -> Series:
-        """result checked against det P, to the order M of P; raises
-        RefusalError where they differ.
-
-        result is any series for det P, from the Jacobi recursion of det or
-        from fredholm_det of the pencil's companion matrix.  det P is a
-        polynomial of degree at most d*deg, so only c_0..c_m with
-        m = min(M, d*deg) are checked and kept, and the coefficients above
-        are exact zeros.  The check is chosen by a fixed size rule:
-        _check_interpolation checks every order where its cost is at most
-        2.5 times the Jacobi recursion's (about m*deg products): each of its
-        N = d deg + 1 LUs costs about one product, building each P(u_j)
-        (deg + 1)/d of one, and below d = 16 a product costs as much as at
-        d = 16 (call overhead).  Elsewhere _check_point_value sees only the
-        lowest orders.  P = I (deg 0) leaves only c_0, which is not checked.
-        """
-        d, deg = self.dim, len(self.coeffs) - 1
-        m = min(self.order, d * deg)
-        head = result.truncate(m)
-        if deg > 0:
-            n_pts = d * deg + 1
-            products = sum(min(k + 1, deg) for k in range(m - 1))
-            if n_pts * d * d * (d + deg + 1) <= 2.5 * products * (d**3 + 16**3):
-                self._check_interpolation(head, deg, n_pts)
-            else:
-                self._check_point_value(head, deg)
-        return head.truncate(self.order)
-
-    def _check_interpolation(self, result: Series, deg: int, n_pts: int) -> None:
-        """Raise RefusalError unless result matches det P coefficient by
-        coefficient up to its order M <= d*deg.
-
-        det P has degree at most d*deg, so its values at the N = n_pts > d*deg
-        points u_j = r exp(2 pi i j / N) determine it: their FFT is N c_n r^n,
-        with no aliasing.  The points past the upper half circle are taken as
-        u_{N-j} = conj(u_j), and for a real head det P(conj u) = conj det P(u)
-        exactly, so only the N//2 + 1 points j <= N/2 are evaluated and the
-        rest are their conjugates.  r minimises Hadamard's bound prod_i sum_k
-        |row_i C_k| r^k on max |det P| times r^-M over a grid.  The tolerance
-        is 1e-10 plus eps sqrt(N) max_j |det P(u_j)| r^-n, the FFT's
-        resolution of values exact to working precision; where det P cancels
-        the LU error exceeds it and a right series can be refused.  It stays
-        absolute because the classical route multiplies the determinant by
-        (1 - u^2)^-chi, which cancels further.
-        """
-        C = self.coeffs
-        d, m = self.dim, result.order
-        radii = np.geomspace(0.1, 1.5, 64)
-        rows = np.linalg.norm(C, axis=2)  # rows[k, i] = |row_i C_k|
-        hadamard = np.log(np.power.outer(radii, np.arange(deg + 1)) @ rows).sum(axis=1)
-        r = radii[np.argmin(hadamard - m * np.log(radii))]
-        upper = n_pts // 2 + 1  # the points j <= N/2
-        u = r * np.exp(2j * np.pi * np.arange(upper) / n_pts)
-        if not np.isrealobj(C):
-            u = np.concatenate([u, u[n_pts - upper : 0 : -1].conj()])
-        powers = np.power.outer(u, np.arange(deg + 1))
-        # deg + 1 points at a time, so the values take no more memory than C;
-        # the stack height sets how the product rounds, so it stays fixed
-        flat = C.reshape(deg + 1, -1).astype(np.complex128, copy=False)
-        values = np.concatenate([np.linalg.det((powers[i : i + deg + 1] @ flat).reshape(-1, d, d))
-                                 for i in range(0, len(u), deg + 1)])
-        if len(values) < n_pts:
-            values = np.concatenate([values, values[n_pts - upper : 0 : -1].conj()])
-        scale = r ** -np.arange(m + 1)
-        exact = np.fft.fft(values)[: m + 1] / n_pts * scale
-        resolution = np.finfo(float).eps * np.sqrt(n_pts) * np.abs(values).max() * scale
-        excess = np.abs(exact - result.c) - 1e-10 - resolution
-        if not np.all(excess <= 0):
-            n = int(np.argmax(excess))
-            raise RefusalError(
-                f"determinant interpolation check failed at u^{n}: series and "
-                f"det P differ by {abs(exact[n] - result.c[n]):.3g} "
-                f"(tolerance {1e-10 + resolution[n]:.3g}, r={r:.3g})"
-            )
-
-    def _check_point_value(self, result: Series, deg: int) -> None:
-        """Raise RefusalError unless result(u0) matches det P(u0).
-
-        rho = max_k max_i |row_i C_k|^(1/k) and r = 1/max(1, 2 d deg rho) make
-        each row of P(u) at most 1 + 1/(2d) long on |u| = r (r <= 1 keeps u0^k
-        finite when the coefficients are tiny), so by Hadamard's
-        inequality |det P| <= e there.  Cauchy's estimate then bounds the
-        n-th coefficient of det P by e/r^n, and at u0 = r/100 the terms past
-        the truncation order sum to less than 3 * 100^-(M+1).  The tolerance
-        is that tail plus 1e-10 for rounding, as det P(u0) is close to 1.
-        """
-        C = self.coeffs
-        k = np.arange(deg + 1)
-        rho = (np.linalg.norm(C[1:], axis=2).max(axis=1) ** (1.0 / k[1:])).max()
-        u0 = 0.01 / max(1.0, 2.0 * self.dim * deg * rho)
-        exact = np.linalg.det(np.tensordot(u0**k, C, axes=1))
-        dev = abs(result(u0) - exact)
-        tol = 3.0 * 100.0 ** -(self.order + 1) + 1e-10
-        if not dev <= tol:
-            raise RefusalError(
-                f"determinant point check failed at u0={u0:.3g}: series and "
-                f"det P(u0) differ by {dev:.3g} (tolerance {tol:.3g})"
-            )
+        if extra is not None:
+            p, size = p + extra, size + np.abs(extra)
+        return _newton(p, _EPS * size).truncate(self.order)

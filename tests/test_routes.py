@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, contract_ratio, dense_pencils, exact_fredholm, random_graph
-from zetagraph import fixtures, routes
-from zetagraph.errors import ResourceCapError
+from zetagraph import fixtures, routes, series
+from zetagraph.errors import RefusalError, ResourceCapError
 from zetagraph.graph import make_graph
 from zetagraph.operators import transfer_matrix
 from zetagraph.routes import (
@@ -262,38 +262,62 @@ def test_route_result_requires_unit_constant():
 
 
 def test_high_order_determinant_refuses_instead_of_returning_noise():
-    # with every weight 1.5 the spectral radius is above 1 and the order-24
-    # determinants cancel catastrophically (k4's exact coefficients vanish
-    # above u^12); the interpolation check refuses rather than hand back
-    # noise, on the vertex series and on the bass block alike
+    # with every weight 1.5 the spectral radius is above 1 and Newton's
+    # recursion cancels on k7 at order 24; the guard refuses rather than
+    # hand back noise, on the vertex series and on the bass companion alike
     k4, k7 = complete_graph(4, 1.5), complete_graph(7, 1.5)
-    for g, route in ((k4, zeta_sunada), (k4, zeta_bass), (k7, zeta_sunada), (k7, zeta_bass)):
-        with pytest.raises(ArithmeticError, match="interpolation check"):
-            route(g, 24)
-    zeta_sunada(k4, 12)  # moderate orders stay well inside tolerance
+    for route in (zeta_sunada, zeta_bass):
+        with pytest.raises(RefusalError, match=r"Newton's recursion cannot certify u\^\d+"):
+            route(k7, 24)
+    # k4's determinant has degree 12, where the power sums of the vertex
+    # series and of the bass companion stop, so their order-24 series are
+    # exact above u^12 too
+    exact = [float(c) for c in exact_fredholm(transfer_matrix(k4).dense(), 24)]
+    for route in (zeta_sunada, zeta_bass):
+        series = route(k4, 24).series
+        assert contract_ratio(series.c, exact) <= 1 and np.all(series.c[13:] == 0)
     # the unit-weight k4 series is exact at the same order
     unit = CAT["k4"]
     assert max_deviation(zeta_sunada(unit, 24).series, zeta_fredholm(unit, 24).series) <= 1e-12
 
 
+def route_calls(g):
+    """The series by every route of ROUTE_BUILDERS that applies to g, and
+    by lfun under the trivial system, as functions of the order."""
+    calls = {name: lambda M, build=build: build(g, M).series
+             for name, build in ROUTE_BUILDERS.items() if why_not(name, g) is None}
+    system = trivial_system(g)
+    calls["lfun"] = lambda M: lfunction(g, system, M)
+    return calls
+
+
+def contract_ratios(g, orders):
+    """Contract ratio of each route's series (see route_calls) at each
+    order against the exact reference, or None where the route refuses."""
+    exact = exact_fredholm(transfer_matrix(g).dense(), max(orders))
+    ratios = {}
+    for name, call in route_calls(g).items():
+        for M in orders:
+            try:
+                ratios[name, M] = contract_ratio(call(M).c, exact[: M + 1])
+            except RefusalError:
+                ratios[name, M] = None
+    return ratios
+
+
 def test_hard_determinants_are_refused_or_within_the_contract():
     # against the exact dyadic reference at the README's 1e-9: K7(1.5) bass
-    # at M = 20 was 4.4 times over it from the Jacobi recursion
+    # at M = 20 was 4.4 times over it from the Jacobi recursion, and with no
+    # guard on the series itself unit K8 bass at M = 24 was 134 times over
     cases = [complete_graph(4, 1.5), complete_graph(6, 0.75), complete_graph(7, 1.5),
              complete_graph(7, 1.0), complete_graph(8, 1.0)]
     for g in cases:
-        exact = exact_fredholm(transfer_matrix(g).dense(), 24)
-        unit = why_not("classical", g) is None
-        for route in (zeta_bass, zeta_classical) if unit else (zeta_bass,):
-            for M in (12, 16, 20, 24):
-                if route is zeta_bass and len(g.vertices) == 8 and M == 24:
-                    continue  # still wrong (ratio 134) and accepted by the point check
-                try:
-                    series = route(g, M).series
-                except ArithmeticError:
-                    continue
-                ratio = contract_ratio(series.c, exact[: M + 1])
-                assert ratio <= 1, (len(g.vertices), route.__name__, M, ratio)
+        ratios = contract_ratios(g, (12, 16, 20, 24))
+        assert {name for name, _ in ratios} >= {"fredholm", "sunada", "bass", "partial", "lfun"}
+        for (name, M), ratio in ratios.items():
+            assert ratio is None or ratio <= 1, (len(g.vertices), name, M, ratio)
+        # fredholm never refuses an untwisted T, and is exact at order 24
+        assert ratios["fredholm", 24] == 0, len(g.vertices)
 
 
 def test_factorization_on_heavy_k4_below_order_24_is_refused_or_within_the_contract():
@@ -333,43 +357,44 @@ def heavy_random_graph(seed, chords=None):
                         float(rng.uniform(0.3, 1.6))) for a, b in sorted(pairs)])
 
 
-def sunada_contract_ratios(g, orders):
-    """Contract ratio of each sunada series against the exact reference, or
-    None where the route refuses."""
-    exact = exact_fredholm(transfer_matrix(g).dense(), max(orders))
-    ratios = {}
-    for M in orders:
-        try:
-            ratios[M] = contract_ratio(zeta_sunada(g, M).series.c, exact[: M + 1])
-        except ArithmeticError:
-            ratios[M] = None
-    return ratios
-
-
-# survey cases where Newton's recursion itself cancels: the summed power
-# sums are right to about 1e-15 relative, but p_23 reaches 2e8 to 1.4e9
-# while no coefficient passes 400, so their rounding alone can break the
-# contract, as it breaks fredholm's on graph 5
-NEWTON_CANCELS = {5: (23, 24)}
-
-
 def test_sunada_on_heavy_random_graphs_is_refused_or_within_the_contract():
+    # every route of route_calls, sunada's and lfun's Jacobi sums among them
     for seed in range(12):
-        ratios = sunada_contract_ratios(heavy_random_graph(seed), range(20, 25))
-        for M, ratio in ratios.items():
-            if M not in NEWTON_CANCELS.get(seed, ()):
-                assert ratio is None or ratio <= 1, (seed, M, ratio)
+        for (name, M), ratio in contract_ratios(heavy_random_graph(seed), range(20, 25)).items():
+            assert ratio is None or ratio <= 1, (seed, name, M, ratio)
 
 
-@pytest.mark.xfail(strict=True, reason="Newton's recursion cancels (ROADMAP item 2): survey "
-                   "graph 5 is 5.2 and 16 times over at M = 23 and 24 (fredholm 10), and "
-                   "graph 9 with 5 chords 3.2 times at both (fredholm 0.014)")
 def test_sunada_where_newton_cancels_is_refused_or_within_the_contract():
-    cases = [(heavy_random_graph(seed), orders) for seed, orders in NEWTON_CANCELS.items()]
-    cases.append((heavy_random_graph(9, chords=5), (23, 24)))
-    for g, orders in cases:
-        for M, ratio in sunada_contract_ratios(g, orders).items():
-            assert ratio is None or ratio <= 1, (len(g.edges), M, ratio)
+    # survey cases where Newton's recursion itself cancels: the summed power
+    # sums are right to about 1e-15 relative, but p_23 reaches 2e8 to 1.4e9
+    # while no coefficient passes 400.  Unguarded, sunada was 5.2 and 16
+    # times over the contract on graph 5 at M = 23 and 24 (fredholm 10), and
+    # 3.2 times on graph 9 with 5 chords at both (fredholm 0.014)
+    for g in (heavy_random_graph(5), heavy_random_graph(9, chords=5)):
+        for (name, M), ratio in contract_ratios(g, (23, 24)).items():
+            assert ratio is None or ratio <= 1, (len(g.edges), name, M, ratio)
+            if name == "fredholm":
+                assert ratio == 0, (len(g.edges), M)
+
+
+def test_exact_fallback_is_the_exact_determinant_rounded_once(monkeypatch):
+    # where the guard refuses fredholm's untwisted T or an integer-valued
+    # companion, the route recomputes its series in integers and Fractions.
+    # Unguarded at M = 24, K7(1.5) was 45.6 times over the contract, unit K8
+    # 14.5 times by fredholm and 134 by bass, and heavy graph 5 10.4 times
+    k8 = complete_graph(8, 1.0)
+    cases = [(complete_graph(7, 1.5), zeta_fredholm), (k8, zeta_fredholm), (k8, zeta_bass),
+             (k8, zeta_classical), (heavy_random_graph(5), zeta_fredholm)]
+    for g, route in cases:
+        exact = exact_fredholm(transfer_matrix(g).dense(), 24)
+        want = np.array([float(c) for c in exact], dtype=np.complex128)
+        assert route(g, 24).series.c.tobytes() == want.tobytes(), (len(g.edges), route.__name__)
+    # the guard refused each of them first: above the work budget they stay
+    # refused
+    monkeypatch.setattr(series, "EXACT_BUDGET", 0)
+    for g, route in cases:
+        with pytest.raises(RefusalError, match="Newton's recursion cannot certify"):
+            route(g, 24)
 
 
 def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monkeypatch):
@@ -377,11 +402,9 @@ def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monk
     # Jacobi recursion on the same pencil must give the same series wherever
     # neither refuses, and det(1 - u0 L) = det P(u0) off the series
     seen = {}
-    fredholm_det, verify = routes.fredholm_det, MatrixSeries.verify
+    fredholm_det = routes.fredholm_det
     monkeypatch.setattr(routes, "fredholm_det",
-                        lambda L, M: fredholm_det(seen.setdefault("L", L), M))
-    monkeypatch.setattr(MatrixSeries, "verify",
-                        lambda self, result: verify(self, seen.setdefault("det", result)))
+                        lambda L, M, extra=None: fredholm_det(seen.setdefault("L", L), M, extra))
     # every unflagged fixture, 20 random weighted graphs for bass and their
     # unit-weight twins for classical
     fixed = [g for g in CAT.values() if not g.backtrack]
@@ -398,9 +421,9 @@ def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monk
             seen.clear()
             try:
                 zeta_bass(g, M, variant) if name == "bass" else zeta_classical(g, M)
-                linearized = seen["det"]
+                linearized = fredholm_det(seen["L"], M)
                 jacobi = MatrixSeries(head, M).det()
-            except ArithmeticError:
+            except RefusalError:
                 continue
             assert coeffs_agree(linearized, jacobi, tol=1e-12), (name, variant, M)
             compared += 1
@@ -422,9 +445,9 @@ def test_no_fixture_is_refused_up_to_order_40():
                     pass
 
 
-def test_low_order_determinants_pass_the_point_check():
-    # at orders this low det P(u0) differs from the truncated series by far
-    # more than rounding; the check's tail bound must not refuse them
+def test_low_order_determinants_are_accepted():
+    # at orders this low no power sum is large enough for the guard to
+    # refuse, and every route gives fredholm's series
     for M in range(1, 6):
         k4 = CAT["k4"]
         assert max_deviation(zeta_classical(k4, M).series, zeta_fredholm(k4, M).series) < 1e-12
@@ -435,8 +458,7 @@ def test_low_order_determinants_pass_the_point_check():
 
 
 def test_bass_above_minor_dimension_matches_fredholm(rng):
-    # at block dimension V + 2E >= 100 the interpolation check would cost
-    # several times the determinant, so only the point check guards these
+    # block dimension V + 2E >= 100, companion dimension 200 and more
     graphs = [random_graph(rng, max_vertices=60, extra_edges=15) for _ in range(12)]
     big = [g for g in graphs if len(g.vertices) >= 40][:3]
     assert big
