@@ -29,9 +29,10 @@ preorder (successors entered smallest first), and the rule generates
 prenecklaces in lexicographic order, so each length's group comes out
 sorted and the callers read the groups as they are.  Index order is
 canonical order, so the edge sequences the indices stand for are sorted
-too: compute_Nm sums the weights, euler_product reads each prime's length
-and edge indices straight from the walk, and prime_cycles and
-closed_sequences map every sequence back to edges.
+too: compute_Nm sums the weights, prime_cycles and closed_sequences map
+every sequence back to edges, and the untwisted euler_product reads each
+prime's length and exact integer weight straight from the walk, which
+multiplies the dyadic integers it is given in place of the float weights.
 
 Both walks are exponential in the length bound and intended for small
 graphs; they refuse bounds above LENGTH_CAP.
@@ -39,7 +40,6 @@ graphs; they refuse bounds above LENGTH_CAP.
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -81,12 +81,15 @@ def _return_distances(pred: list[list[int]], s: int, lo: int, L: int) -> list[in
     return dist
 
 
-def _closed_walks(g: WeightedGraph, L: int, necklaces: bool) -> list[list[tuple]]:
+def _closed_walks(g: WeightedGraph, L: int, necklaces: bool, weights=None) -> list[list[tuple]]:
     """The admissible closed edge sequences of length 1..L grouped by
     length: entry n of the returned list (n = 0..L, entry 0 empty) holds the
     (sequence, weight, period) triples of length n in increasing order.  The
     sequence is a tuple of edge indices into canonical_order(g)[1]; the
-    weight is the in-order product of the edge weights.
+    weight is the in-order product of weights, the per-edge weights in
+    canonical order: the float edge weights by default, or any numbers the
+    caller passes, such as the dyadic integers of euler_product, whose
+    products are exact in any order.
 
     The walk runs depth first from each root edge in canonical order, as a
     lexicographic preorder: a walk is met before its extensions, and
@@ -116,7 +119,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool) -> list[list[tuple]
     _check_length(L)
     edges = canonical_order(g)[1]
     index = {e: i for i, e in enumerate(edges)}
-    weight = [g.weight[e] for e in edges]
+    weight = [g.weight[e] for e in edges] if weights is None else weights
     # successors largest first: pushed in this order, they pop smallest first
     succ = [[index[e2] for e2 in reversed(g.out_edges[e[1]]) if _step_ok(g, e, e2)]
             for e in edges]
@@ -244,14 +247,14 @@ def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
     """All cycle classes of length <= L, primes flagged, deterministic order
     (length, then canonical edge sequence).  With a local system, each
     record carries the holonomy of its canonical representative."""
-    edges = canonical_order(g)[1]
-    records = []
-    for n, group in enumerate(_closed_walks(g, L, necklaces=True)):
-        for seq, wgt, period in group:
-            cycle = tuple(map(edges.__getitem__, seq))
-            records.append(CycleRecord(cycle, n, float(wgt), period, period == n,
-                                       holonomy(system, cycle) if system else None))
-    return records
+    edge = canonical_order(g)[1].__getitem__
+    # tuple.__new__ fills each record without the Python-level frame of
+    # CycleRecord.__new__, one per class
+    new = tuple.__new__
+    return [new(CycleRecord, (cycle := tuple(map(edge, seq)), n, wgt, period, period == n,
+                              holonomy(system, cycle) if system else None))
+            for n, group in enumerate(_closed_walks(g, L, necklaces=True))
+            for seq, wgt, period in group]
 
 
 def holonomy(system, edges: tuple) -> np.ndarray:
@@ -273,27 +276,27 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
 
     Without a local system (H_p = 1) it runs in integers: every float weight
     is dyadic, so with 2^E the largest denominator each W = w 2^E is an
-    integer, and C_n = c_n 2^{E n} takes each factor as C_n -= W(p) C_{n-l},
-    n stepping down, W(p) the product along p; c_n = C_n / 2^{E n} is
-    rounded once.  With a system each factor det(1 - t H_p) = sum_k a_k t^k
-    at t = w(p) u^l is applied in floats by times_sparse in prime_cycles order.
+    integer, the walk multiplies these along each prime to its exact W(p),
+    and C_n = c_n 2^{E n} takes each factor as C_n -= W(p) C_{n-l}, n
+    stepping down; c_n = C_n / 2^{E n} is rounded once.  With a system each
+    factor det(1 - t H_p) = sum_k a_k t^k at t = w(p) u^l, w(p) the walk's
+    float product, is applied in floats by times_sparse in prime_cycles
+    order.
     """
     edges = canonical_order(g)[1]
-    groups = _closed_walks(g, M, necklaces=True)
     if system is None:
         ratios = [g.weight[e].as_integer_ratio() for e in edges]
         E = max((d.bit_length() - 1 for _, d in ratios), default=0)
         W = [n << (E - d.bit_length() + 1) for n, d in ratios]
         C = [1] + [0] * M
-        for n, group in enumerate(groups):
-            for seq, _, period in group:
+        for n, group in enumerate(_closed_walks(g, M, necklaces=True, weights=W)):
+            for _, w, period in group:
                 if period == n:
-                    w = prod(map(W.__getitem__, seq))
                     for k in range(M, n - 1, -1):
                         C[k] -= w * C[k - n]
         return Series([c / (1 << (E * n)) for n, c in enumerate(C)])
     factors = []
-    for n, group in enumerate(groups):
+    for n, group in enumerate(_closed_walks(g, M, necklaces=True)):
         for seq, wgt, period in group:
             if period == n:
                 charpoly = fredholm_det(holonomy(system, tuple(map(edges.__getitem__, seq))),

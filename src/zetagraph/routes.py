@@ -6,11 +6,11 @@ det(1 - uT) is normative; the factorization, block-determinant, partial
 product, and unit-weight routes are independent computations checked against
 it coefficient by coefficient.  Each adds the power sums of its factors and
 ends in one guarded Newton step, which refuses a coefficient it cannot
-certify (see _exact_where_refused for the exceptions).  Their matrices, and
-those of spectrum_poles, are built on the graph's leafless core
-(WeightedGraph.core), which has the same zeta and L-functions; applicability
-is judged on the graph itself, once, by why_not from the route's entry in
-ROUTES.
+certify (see _exact_where_refused and _factorization for the exceptions).
+Their matrices, and those of spectrum_poles, are built on the graph's
+leafless core (WeightedGraph.core), which has the same zeta and
+L-functions; applicability is judged on the graph itself, once, by why_not
+from the route's entry in ROUTES.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
-from .series import Series, coeffs_agree, exact_fredholm_det, fredholm_det, max_deviation
+from .series import (Series, coeffs_agree, exact_fredholm_det, exact_jacobi_det, fredholm_det,
+                     max_deviation)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,12 @@ def _factorization(g: WeightedGraph, M: int, system=None, alpha=0.0) -> tuple[Se
     orientation, and exp(-alpha u^2) adds 2 alpha to p_2.  MatrixSeries.det
     adds them to its sums, up to the degree dim T = |OE| d (M where alpha is
     not 0): det P and the roundtrip product, which grow while their product
-    stays small, are never expanded.  Built on g.core, as are its pairs."""
+    stays small, are never expanded.  Built on g.core, as are its pairs.
+
+    Where the guard refuses and the head and the added sums are integers
+    (integer weights, untwisted or under a system of integer transports,
+    and a half-integer alpha), exact_jacobi_det recomputes the series within
+    its budget."""
     g = g.core
     ms = vertex_series(*incidence_maps(g, system), M)
     dim = 1 if system is None else system.dim
@@ -139,7 +145,12 @@ def _factorization(g: WeightedGraph, M: int, system=None, alpha=0.0) -> tuple[Se
     extra = np.zeros(n + 1)
     extra[2::2] = dim * np.power.outer(W, np.arange(1, n // 2 + 1)).sum(axis=0)
     extra[2:3] += 2 * alpha
-    return ms.det(extra), ms.dim
+    try:
+        return ms.det(extra), ms.dim
+    except RefusalError:
+        if (series := exact_jacobi_det(ms, extra)) is not None:
+            return series, ms.dim
+        raise
 
 
 def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:

@@ -18,7 +18,8 @@ sparse or dense T, and MatrixSeries.det the power sums of log det P for
 P = sum C_k u^k by Jacobi's formula.  Both add the power sums of another
 factor before the Newton step, as the routes do for the roundtrip product,
 (1 - u^2)^-chi and exp(-alpha u^2).  exact_fredholm_det recomputes
-fredholm_det in integers and Fractions.
+fredholm_det, and exact_jacobi_det MatrixSeries.det on an integer head, in
+integers and Fractions.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ TRACE_BLOCK = 64
 # the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
 CONTRACT = 1e-9
 
-# the most work exact_fredholm_det takes on: stored entries x dimension x powers
+# the most work an exact determinant takes on, in multiply-adds: stored entries
+# x dimension x powers for exact_fredholm_det, d^3 x deg x order for exact_jacobi_det
 EXACT_BUDGET = 5 * 10**6
 
 _EPS = np.finfo(float).eps
@@ -269,8 +271,46 @@ def exact_fredholm_det(mat, order: int, extra=None) -> Series | None:
     for j in range(1, m + 1):
         power = np.array([data[r] @ power[mat.indices[r]] for r in rows], dtype=object)
         p[j] += Fraction(int(power.trace()), 1 << (s * j))
+    return _exact_newton(p, order)
+
+
+def exact_jacobi_det(ms: "MatrixSeries", extra=None) -> Series | None:
+    """MatrixSeries.det of ms in exact arithmetic, each coefficient rounded
+    once; None where a head coefficient or an extra term is not an integer,
+    or where the work would exceed EXACT_BUDGET.
+
+    Jacobi's recursion of MatrixSeries.det runs on the integer head in
+    Python integers, X_k = -sum_j C_j X_{k-j} and the power sums
+    p_n = -sum_k k tr(C_k X_{n-k}) up to the same degree m, and Newton's
+    recursion in Fractions on the power sums plus extra.  The work is
+    about deg x m products of d x d matrices, d^3 x deg x m multiply-adds.
+    """
+    C = ms.coeffs
+    d, deg = ms.dim, len(C) - 1
+    m = min(ms.order, d * deg) if extra is None else len(extra) - 1
+    terms = [C] if extra is None else [C, np.asarray(extra)]
+    if any(np.any(t.imag) or np.any(t.real % 1) for t in terms) or d**3 * deg * m > EXACT_BUDGET:
+        return None
+    head = np.vectorize(int, otypes=[object])(C.real)
+    X = [np.identity(d, dtype=int).astype(object)]
+    p = [0] * (m + 1)
+    for n in range(1, m + 1):
+        J = range(1, min(n, deg) + 1)
+        p[n] = -sum(k * (head[k] * X[n - k].T).sum() for k in J)
+        if n < m:
+            X.append(-sum(head[j] @ X[n - j] for j in J))
+    if extra is not None:
+        p = [a + int(b.real) for a, b in zip(p, terms[1])]
+    return _exact_newton(p, ms.order)
+
+
+def _exact_newton(p, order: int) -> Series:
+    """_newton's coefficients from exact power sums p_1..p_m (p[0] is
+    ignored) in Fractions, each rounded once and zero-padded to order."""
+    from fractions import Fraction
+
     c = [Fraction(1)]
-    for k in range(1, m + 1):
+    for k in range(1, len(p)):
         c.append(-sum(p[j] * c[k - j] for j in range(1, k + 1)) / k)
     return Series([float(x) for x in c], order=order)
 

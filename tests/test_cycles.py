@@ -299,7 +299,10 @@ def test_enumeration_matches_unpruned_reference(rng):
     """prime_cycles, closed_sequences and euler_product equal a plain
     unpruned search with an explicit rotation test, bit for bit, at every
     length bound: the distance cut and the prenecklace rule drop no walk
-    that could still close and keep no rotation twice."""
+    that could still close and keep no rotation twice.  The walk's weights
+    are the in-order products of the float edge weights by default, bit for
+    bit, and of the integer weights it is given exactly; prime_cycles builds
+    CycleRecords with float weights, with and without a system."""
     graphs = list(CAT.values()) + [_pendant_chains()]
     graphs += [random_graph(rng, max_vertices=6, backtrack=mode)
                for mode in ("none", "symmetric", "any") for _ in range(4)]
@@ -307,8 +310,23 @@ def test_enumeration_matches_unpruned_reference(rng):
         system = make_local_system(g, 2, {e: random_unitary(rng, 2) for e in g.edges})
         walks = list(_reference_walks(g, 10))
         reference = _reference_prime_cycles(g, 10, system)
+        edges = canonical_order(g)[1]
+        in_order = {seq: wgt.hex() for seq, wgt in walks}
+        # integers past 2^53, whose float products would round
+        W = [int(x) << 40 for x in rng.integers(1, 2**20, size=len(edges))]
+        for necklaces in (True, False):
+            floats = _closed_walks(g, 10, necklaces)
+            exact = _closed_walks(g, 10, necklaces, weights=W)
+            assert [[(s, p) for s, _, p in group] for group in exact] == \
+                [[(s, p) for s, _, p in group] for group in floats]
+            assert all(w == math.prod(W[i] for i in s) for group in exact for s, w, _ in group)
+            assert all(w.hex() == in_order[tuple(edges[i] for i in s)]
+                       for group in floats for s, w, _ in group)
         for L in range(11):
-            recs = prime_cycles(g, L, system=system)
+            for sys_ in (None, system):
+                recs = prime_cycles(g, L, system=sys_)
+                assert all(type(r) is CycleRecord and type(r.weight) is float for r in recs)
+                assert all((r.holonomy is None) == (sys_ is None) for r in recs)
             expected = [r for r in reference if r.length <= L]
             assert [_record_key(r) for r in recs] == [_record_key(r) for r in expected]
             assert all(np.array_equal(r.holonomy, x.holonomy) for r, x in zip(recs, expected))

@@ -269,6 +269,17 @@ def test_high_order_determinant_refuses_instead_of_returning_noise():
     for route in (zeta_sunada, zeta_bass):
         with pytest.raises(RefusalError, match=r"Newton's recursion cannot certify u\^\d+"):
             route(k7, 24)
+    # the exact fallbacks take integer weights only: at weight 2.5 every
+    # route but fredholm refuses from u^11, lfun under the trivial system
+    # and partial on a flagged K4 too
+    heavy = complete_graph(4, 2.5)
+    flagged = make_graph(heavy.vertices, [(u, v, 2.5, 2.5) for u, v in heavy.edges],
+                         backtrack=[("v0", "v1"), ("v1", "v0")])
+    for call in (lambda: zeta_sunada(heavy, 16), lambda: zeta_bass(heavy, 16),
+                 lambda: lfunction(heavy, trivial_system(heavy), 16),
+                 lambda: zeta_partial_formula(flagged, 16)):
+        with pytest.raises(RefusalError, match=r"Newton's recursion cannot certify u\^11"):
+            call()
     # k4's determinant has degree 12, where the power sums of the vertex
     # series and of the bass companion stop, so their order-24 series are
     # exact above u^12 too
@@ -316,6 +327,8 @@ def test_hard_determinants_are_refused_or_within_the_contract():
         assert {name for name, _ in ratios} >= {"fredholm", "sunada", "bass", "partial", "lfun"}
         for (name, M), ratio in ratios.items():
             assert ratio is None or ratio <= 1, (len(g.vertices), name, M, ratio)
+            # at unit weights every refusal has an exact fallback
+            assert ratio is not None or g.weight[g.edges[0]] != 1.0, (len(g.vertices), name, M)
         # fredholm never refuses an untwisted T, and is exact at order 24
         assert ratios["fredholm", 24] == 0, len(g.vertices)
 
@@ -378,23 +391,41 @@ def test_sunada_where_newton_cancels_is_refused_or_within_the_contract():
 
 
 def test_exact_fallback_is_the_exact_determinant_rounded_once(monkeypatch):
-    # where the guard refuses fredholm's untwisted T or an integer-valued
-    # companion, the route recomputes its series in integers and Fractions.
-    # Unguarded at M = 24, K7(1.5) was 45.6 times over the contract, unit K8
-    # 14.5 times by fredholm and 134 by bass, and heavy graph 5 10.4 times
-    k8 = complete_graph(8, 1.0)
-    cases = [(complete_graph(7, 1.5), zeta_fredholm), (k8, zeta_fredholm), (k8, zeta_bass),
-             (k8, zeta_classical), (heavy_random_graph(5), zeta_fredholm)]
-    for g, route in cases:
-        exact = exact_fredholm(transfer_matrix(g).dense(), 24)
-        want = np.array([float(c) for c in exact], dtype=np.complex128)
-        assert route(g, 24).series.c.tobytes() == want.tobytes(), (len(g.edges), route.__name__)
+    # where the guard refuses fredholm's untwisted T, an integer-valued
+    # companion or an integer vertex series, the route recomputes its series
+    # in integers and Fractions.  Unguarded at M = 24, K7(1.5) was 45.6 times
+    # over the contract, unit K8 14.5 times by fredholm and 134 by bass, and
+    # heavy graph 5 10.4 times.  At unit weights the guard refused right
+    # sunada series, and lfun under trivial systems, where a zero
+    # coefficient sums terms near 1e9
+    def route(build, g):
+        return transfer_matrix(g).dense(), lambda M: build(g, M).series
+
+    def lfun(g, system):
+        # the twisted T of a trivial system is T kron I, real
+        return transfer_matrix(g, system).dense().real, lambda M: lfunction(g, system, M)
+
+    k4, k8 = CAT["k4"], complete_graph(8, 1.0)
+    cases = [(*route(build, g), (24,))
+             for g, build in ((complete_graph(7, 1.5), zeta_fredholm), (k8, zeta_fredholm),
+                              (k8, zeta_bass), (k8, zeta_classical),
+                              (heavy_random_graph(5), zeta_fredholm))]
+    for n, orders in ((5, range(19, 25)), (6, (18,)), (7, range(19, 24)), (8, (19, 20))):
+        g = complete_graph(n, 1.0)
+        cases += [(*route(zeta_sunada, g), orders), (*lfun(g, trivial_system(g)), orders)]
+    cases.append((*lfun(k4, trivial_system(k4, 2)), (23, 24, 31, 40)))
+    for T, call, orders in cases:
+        exact = exact_fredholm(T, max(orders))
+        for M in orders:
+            want = np.array([float(c) for c in exact[: M + 1]], dtype=np.complex128)
+            assert call(M).c.tobytes() == want.tobytes(), (len(T), M)
     # the guard refused each of them first: above the work budget they stay
     # refused
     monkeypatch.setattr(series, "EXACT_BUDGET", 0)
-    for g, route in cases:
-        with pytest.raises(RefusalError, match="Newton's recursion cannot certify"):
-            route(g, 24)
+    for _, call, orders in cases:
+        for M in orders:
+            with pytest.raises(RefusalError, match="Newton's recursion cannot certify"):
+                call(M)
 
 
 def test_companion_routes_equal_the_jacobi_determinant_of_their_pencil(rng, monkeypatch):

@@ -260,6 +260,13 @@ def test_matrix_series_det_is_exact_past_the_degree():
     assert det.order == 24
     assert np.all(det.coefficients()[13:] == 0)
     assert coeffs_agree(det, fredholm_det(T, 24), tol=1e-12)
+    # its exact recomputation takes integer heads and power sums only: on
+    # the unit K4 it is the exact determinant rounded once, zeros included
+    assert series.exact_jacobi_det(MatrixSeries([np.eye(12), -T], 24)) is None
+    U = transfer_matrix(complete_graph(4, 1.0)).dense()
+    unit, want = MatrixSeries([np.eye(12), -U], 24), exact_fredholm(U, 24)
+    assert series.exact_jacobi_det(unit).c.tolist() == [float(w) for w in want]
+    assert series.exact_jacobi_det(unit, np.full(25, 0.5)) is None
 
 
 def test_fredholm_det_on_fixture_transfer_operators():
