@@ -8,15 +8,13 @@ disagreement, 3 I/O or parse failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import blas
 from .cycles import edge_sequence_label, prime_cycles
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
 from .families import convergence_study, make_source, study_csv_lines, truncation_depth
@@ -235,30 +233,12 @@ def _thread_cap() -> int | None:
     return value or None
 
 
-@functools.cache
-def _openblas():
-    """Getter and setter of the thread count of the OpenBLAS bundled with
-    numpy, found by symbol name in numpy.libs, or None where that library
-    is missing (another BLAS build), which leaves BLAS alone."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        suffix = "64_" if "openblas64" in path.name else ""
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         threads = _thread_cap()
-        if threads is not None and (openblas := _openblas()):
+        if threads is not None and (openblas := blas.threads()):
             openblas[1](threads)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import eigvals
 from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
@@ -103,20 +104,23 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
 
     With a local system T is twisted and the result is the reciprocal
     L-series; the zeta function is the trivial one-dimensional case.  T is
-    built on g.core, which has the same determinant.  Untwisted, T holds the
-    weights themselves and is exact for _exact_where_refused."""
-    T = transfer_matrix(g.core, system)
-    series = _exact_where_refused(T.mat, M, system is None)
-    return RouteResult("fredholm", series, {"dimension": T.mat.shape[0]})
+    built on g.core, which has the same determinant.  T holds the weights
+    themselves, times the transports under a system, and is exact for
+    _exact_where_refused where no entry has an imaginary part: untwisted,
+    or under real transports such as a trivial system's."""
+    T = transfer_matrix(g.core, system).mat
+    series = _exact_where_refused(T, M, not np.any(T.data.imag))
+    return RouteResult("fredholm", series, {"dimension": T.shape[0]})
 
 
 def _exact_where_refused(mat, M: int, exact: bool, extra=None) -> Series:
     """fredholm_det(mat, M, extra), or where its guard refuses and mat holds
-    the route's exact numbers, exact_fredholm_det within its budget."""
+    the route's exact numbers, all real, exact_fredholm_det of mat.real
+    within its budget."""
     try:
         return fredholm_det(mat, M, extra)
     except RefusalError:
-        if exact and (series := exact_fredholm_det(mat, M, extra)) is not None:
+        if exact and (series := exact_fredholm_det(mat.real, M, extra)) is not None:
             return series
         raise
 
@@ -388,23 +392,29 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
     clustered into multiplicities, sorted by modulus then argument.
 
     The cap applies to g's own edge dimension; T is built on g.core, whose
-    nonzero eigenvalues are those of g's transfer operator."""
+    nonzero eigenvalues are those of g's transfer operator.  Its n x n
+    dense form is the one float64 buffer of the call, 8n^2 bytes in column
+    order, which LAPACK's dgeev overwrites as it finds the eigenvalues
+    (blas.eigvals)."""
     if 2 * len(g.edges) > POLE_DIMENSION_CAP:
         raise ResourceCapError(
             f"edge dimension {2 * len(g.edges)} exceeds pole cap {POLE_DIMENSION_CAP}"
         )
-    T = transfer_matrix(g.core)
+    T = transfer_matrix(g.core).mat
     # thresholds are relative to ||T||_1, so scaling every weight by c scales
     # every pole by 1/c and leaves the multiplicities alone
-    scale = np.asarray(abs(T.mat).sum(axis=0)).max(initial=0.0)
-    eig = np.linalg.eigvals(T.dense())
-    # rounding keeps equal-modulus poles adjacent despite float noise
-    poles = sorted(
-        (1.0 / lam for lam in eig if abs(lam) > 1e-12 * scale),
-        key=lambda p: (round(abs(p) * scale, 9), round(float(np.angle(p)), 9)),
-    )
+    scale = np.asarray(abs(T).sum(axis=0)).max(initial=0.0)
+    eig = eigvals(T.toarray(order="F"))
+    poles = 1.0 / eig[np.abs(eig) > 1e-12 * scale]
+    # rounding keeps equal-modulus poles adjacent despite float noise: the
+    # moduli in numpy's rounding (round's on a numpy float) and the angles
+    # in Python's, which can differ in the last place
+    moduli = np.round(np.abs(poles) * scale, 9).tolist()
+    angles = [round(a, 9) for a in np.angle(poles).tolist()]
+    keys = list(zip(moduli, angles))
+    order = sorted(range(len(poles)), key=keys.__getitem__)
     clustered: list[tuple[complex, int]] = []
-    for p in poles:
+    for p in poles[order]:
         if clustered and abs(p - clustered[-1][0]) <= 1e-8 * abs(clustered[-1][0]):
             clustered[-1] = (clustered[-1][0], clustered[-1][1] + 1)
         else:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from zetagraph import fixtures, routes
-from zetagraph.cli import _openblas, main
+from zetagraph import blas, fixtures, routes
+from zetagraph.cli import main
 from zetagraph.errors import RefusalError
 from zetagraph.graph import make_graph, parse_graph, serialize_graph
 from zetagraph.routes import RouteResult
@@ -27,7 +27,7 @@ def gfile(tmp_path):
 def blas_threads():
     """main sets the BLAS thread count of the process; every test here
     leaves it as it found it."""
-    openblas = _openblas()
+    openblas = blas.threads()
     before = openblas and openblas[0]()
     yield openblas
     if openblas:

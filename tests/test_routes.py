@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, contract_ratio, dense_pencils, exact_fredholm, random_graph
-from zetagraph import fixtures, routes, series
+from zetagraph import blas, fixtures, routes, series
 from zetagraph.errors import RefusalError, ResourceCapError
 from zetagraph.graph import make_graph
 from zetagraph.operators import transfer_matrix
@@ -397,13 +397,14 @@ def test_exact_fallback_is_the_exact_determinant_rounded_once(monkeypatch):
     # over the contract, unit K8 14.5 times by fredholm and 134 by bass, and
     # heavy graph 5 10.4 times.  At unit weights the guard refused right
     # sunada series, and lfun under trivial systems, where a zero
-    # coefficient sums terms near 1e9
+    # coefficient sums terms near 1e9; fredholm's twisted T is then real
     def route(build, g):
         return transfer_matrix(g).dense(), lambda M: build(g, M).series
 
-    def lfun(g, system):
+    def lfun(g, system, route="determinant"):
         # the twisted T of a trivial system is T kron I, real
-        return transfer_matrix(g, system).dense().real, lambda M: lfunction(g, system, M)
+        return (transfer_matrix(g, system).dense().real,
+                lambda M: lfunction(g, system, M, route=route))
 
     k4, k8 = CAT["k4"], complete_graph(8, 1.0)
     cases = [(*route(build, g), (24,))
@@ -413,7 +414,10 @@ def test_exact_fallback_is_the_exact_determinant_rounded_once(monkeypatch):
     for n, orders in ((5, range(19, 25)), (6, (18,)), (7, range(19, 24)), (8, (19, 20))):
         g = complete_graph(n, 1.0)
         cases += [(*route(zeta_sunada, g), orders), (*lfun(g, trivial_system(g)), orders)]
-    cases.append((*lfun(k4, trivial_system(k4, 2)), (23, 24, 31, 40)))
+        if n in (5, 8):
+            cases.append((*lfun(g, trivial_system(g), "fredholm"), orders))
+    for name in ("determinant", "fredholm"):
+        cases.append((*lfun(k4, trivial_system(k4, 2), name), (23, 24, 31, 40)))
     for T, call, orders in cases:
         exact = exact_fredholm(T, max(orders))
         for M in orders:
@@ -511,6 +515,26 @@ def test_spectrum_poles_frozen():
     lines = poles_csv_lines(bt1_poles)
     assert lines[0] == "re,im,multiplicity"
     assert lines[1].endswith(",0.0,1")
+
+
+def test_spectrum_poles_in_place_equal_the_eigvals_fallback(rng, monkeypatch):
+    """dgeev runs in place on the core's T where numpy's OpenBLAS is found,
+    and np.linalg.eigvals on the same array where it is not: both print the
+    same bytes, the empty core's [] and bt1's real negative pole included."""
+    big = random_graph(rng, n_vertices=260, extra_edges=200)
+    assert 2 * len(big.core.edges) >= 700
+    graphs = [*CAT.values(), complete_graph(4, 1.5), complete_graph(7, 1.5), big]
+    calls = []
+    numpy_eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or numpy_eigvals(a))
+    in_place = [poles_csv_lines(spectrum_poles(g)) for g in graphs]
+    assert calls == [] or blas._dgeev() is None
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    calls.clear()
+    assert [poles_csv_lines(spectrum_poles(g)) for g in graphs] == in_place
+    assert len(calls) == len(graphs)
+    assert spectrum_poles(CAT["edge"]) == []
+    assert in_place[list(CAT).index("edge")] == ["re,im,multiplicity"]
 
 
 def test_spectrum_poles_scale_with_the_weights():
