@@ -35,7 +35,9 @@ prime's length and exact integer weight straight from the walk, which
 multiplies the dyadic integers it is given in place of the float weights.
 
 Both walks are exponential in the length bound and intended for small
-graphs; they refuse bounds above LENGTH_CAP.
+graphs; they refuse bounds above LENGTH_CAP, and _closed_walks refuses a
+walk that emits more than CLASS_BUDGET classes, so a dense graph is refused
+before it runs out of memory or time.
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .graph import OrientedEdge, WeightedGraph, canonical_order, reverse
-from .series import Series, fredholm_det, times_sparse
+from .series import Series, dyadic, fredholm_det
 
 LENGTH_CAP = 20
+
+# classes (sequences outside necklace mode) _closed_walks may emit, about
+# 100 MB: four times the 111,508 necklaces of K4 at length 20
+CLASS_BUDGET = 450_000
 
 
 def _check_length(L: int) -> None:
@@ -114,7 +120,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool, weights=None) -> li
     j = seq[n - p] and becomes n + 1 otherwise.  A closed prenecklace is a
     necklace exactly when p divides n, and p is then its least period.
     Without necklaces every closed sequence is kept and period is its
-    length.
+    length.  Past CLASS_BUDGET emitted classes it raises ResourceCapError.
     """
     _check_length(L)
     edges = canonical_order(g)[1]
@@ -128,6 +134,7 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool, weights=None) -> li
         for j in js:
             pred[j].append(i)
     groups: list[list[tuple]] = [[] for _ in range(L + 1)]
+    emitted = 0
     for s in range(len(edges)):
         dist = _return_distances(pred, s, s if necklaces else 0, L)
         if dist[s] >= L:
@@ -140,6 +147,9 @@ def _closed_walks(g: WeightedGraph, L: int, necklaces: bool, weights=None) -> li
             n = len(seq)
             if not dist[last] and not n % p:
                 groups[n].append((seq, wgt, p))
+                if (emitted := emitted + 1) > CLASS_BUDGET:
+                    raise ResourceCapError(f"more than {CLASS_BUDGET} cycle classes up to "
+                                           f"length {L}; enumeration is exponential")
             if n >= L:
                 continue
             b = seq[n - p] if necklaces else -1
@@ -274,20 +284,18 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     over the primes p of length l <= M, read from the walk's groups: exact
     at order M, since longer primes start at u^{M+1}.
 
-    Without a local system (H_p = 1) it runs in integers: every float weight
-    is dyadic, so with 2^E the largest denominator each W = w 2^E is an
-    integer, the walk multiplies these along each prime to its exact W(p),
-    and C_n = c_n 2^{E n} takes each factor as C_n -= W(p) C_{n-l}, n
-    stepping down; c_n = C_n / 2^{E n} is rounded once.  With a system each
-    factor det(1 - t H_p) = sum_k a_k t^k at t = w(p) u^l, w(p) the walk's
-    float product, is applied in floats by times_sparse in prime_cycles
-    order.
+    Without a local system (H_p = 1) it runs in integers: with W = w 2^E the
+    edge weights of dyadic, the walk multiplies these along each prime to
+    its exact W(p), and C_n = c_n 2^{E n} takes each factor as
+    C_n -= W(p) C_{n-l}, n stepping down; c_n = C_n / 2^{E n} is rounded
+    once.  With a system each factor det(1 - t H_p) = sum_k a_k t^k at
+    t = w(p) u^l, w(p) the walk's float product, is applied in prime_cycles
+    order to one complex array, c_n += a_k w(p)^k c_{n-kl} from the values
+    before the factor, term by term in k.
     """
     edges = canonical_order(g)[1]
     if system is None:
-        ratios = [g.weight[e].as_integer_ratio() for e in edges]
-        E = max((d.bit_length() - 1 for _, d in ratios), default=0)
-        W = [n << (E - d.bit_length() + 1) for n, d in ratios]
+        E, W = dyadic(g.weight[e] for e in edges)
         C = [1] + [0] * M
         for n, group in enumerate(_closed_walks(g, M, necklaces=True, weights=W)):
             for _, w, period in group:
@@ -295,11 +303,13 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
                     for k in range(M, n - 1, -1):
                         C[k] -= w * C[k - n]
         return Series([c / (1 << (E * n)) for n, c in enumerate(C)])
-    factors = []
+    c = Series.one(M).coefficients()
     for n, group in enumerate(_closed_walks(g, M, necklaces=True)):
         for seq, wgt, period in group:
             if period == n:
-                charpoly = fredholm_det(holonomy(system, tuple(map(edges.__getitem__, seq))),
-                                        system.dim).c
-                factors.append(([a * wgt ** k for k, a in enumerate(charpoly)], n))
-    return times_sparse(Series.one(M), factors)
+                a = fredholm_det(holonomy(system, tuple(map(edges.__getitem__, seq))),
+                                 system.dim).c
+                old = c.copy()
+                for k in range(1, min(system.dim, M // n) + 1):
+                    c[k * n :] += a[k] * wgt**k * old[: M + 1 - k * n]
+    return Series(c)

@@ -406,12 +406,9 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
     scale = np.asarray(abs(T).sum(axis=0)).max(initial=0.0)
     eig = eigvals(T.toarray(order="F"))
     poles = 1.0 / eig[np.abs(eig) > 1e-12 * scale]
-    # rounding keeps equal-modulus poles adjacent despite float noise: the
-    # moduli in numpy's rounding (round's on a numpy float) and the angles
-    # in Python's, which can differ in the last place
+    # rounding keeps equal-modulus poles adjacent despite float noise
     moduli = np.round(np.abs(poles) * scale, 9).tolist()
-    angles = [round(a, 9) for a in np.angle(poles).tolist()]
-    keys = list(zip(moduli, angles))
+    keys = list(zip(moduli, np.round(np.angle(poles), 9).tolist()))
     order = sorted(range(len(poles)), key=keys.__getitem__)
     clustered: list[tuple[complex, int]] = []
     for p in poles[order]:

@@ -7,8 +7,6 @@ coefficients, so an untwisted graph's determinant runs in real arithmetic,
 and complex128 once any coefficient is complex.  Binary operations
 zero-extend the shorter operand, so mixing orders is safe but the high
 coefficients of the result are only as meaningful as the inputs.
-times_sparse multiplies a series by sparse polynomial factors such as
-1 - w u^l in place, for the twisted Euler product.
 
 Two determinants and Series.exp turn power sums into coefficients by one
 Newton recursion, _newton, which is also their certificate: it estimates
@@ -19,7 +17,9 @@ P = sum C_k u^k by Jacobi's formula.  Both add the power sums of another
 factor before the Newton step, as the routes do for the roundtrip product,
 (1 - u^2)^-chi and exp(-alpha u^2).  exact_fredholm_det recomputes
 fredholm_det, and exact_jacobi_det MatrixSeries.det on an integer head, in
-integers and Fractions.
+integers and Fractions.  Every float is an integer over a power of two, and
+dyadic scales floats to such integers over one common power, for
+exact_fredholm_det and the untwisted Euler product.
 """
 
 from __future__ import annotations
@@ -152,23 +152,6 @@ def csv_lines(s: Series) -> list[str]:
     return lines
 
 
-def times_sparse(series: Series, factors) -> Series:
-    """series times prod over (a, step) in factors of sum_k a_k u^(k*step).
-
-    Each factor has a_0 = 1 and is applied in turn to one coefficient array,
-    c_n += sum_{k>=1} a_k c_{n - k*step} from the values before it, term by
-    term in k; terms past the order are skipped, so a step above the order
-    changes nothing.
-    """
-    m = series.order
-    c = series.coefficients()
-    for a, step in factors:
-        old = c.copy()
-        for k in range(1, min(len(a) - 1, m // step) + 1):
-            c[k * step :] += a[k] * old[: m + 1 - k * step]
-    return Series(c)
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -247,14 +230,22 @@ def fredholm_det(mat, order: int, extra=None) -> Series:
     return _newton(p, _EPS * size).truncate(order)
 
 
+def dyadic(values) -> tuple[int, list[int]]:
+    """(s, N) with each float x_i of values equal to N_i / 2^s, 2^s the
+    largest of their denominators, which are all powers of two."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    s = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return s, [n << (s - d.bit_length() + 1) for n, d in ratios]
+
+
 def exact_fredholm_det(mat, order: int, extra=None) -> Series | None:
     """fredholm_det of a real CSR mat in exact arithmetic, each coefficient
     rounded once; None where the work would exceed EXACT_BUDGET.
 
-    Every float is dyadic, so N = 2^s mat is an integer matrix for 2^s the
-    largest denominator, and tr(mat^j) = tr(N^j) / 2^(sj): the powers of N
-    are taken row by row in Python integers, and Newton's recursion runs in
-    Fractions on the traces plus extra.
+    N = 2^s mat is an integer matrix, its entries those of dyadic, and
+    tr(mat^j) = tr(N^j) / 2^(sj): the powers of N are taken row by row in
+    Python integers, and Newton's recursion runs in Fractions on the traces
+    plus extra.
     """
     from fractions import Fraction
 
@@ -262,9 +253,8 @@ def exact_fredholm_det(mat, order: int, extra=None) -> Series | None:
     m = min(order, n) if extra is None else len(extra) - 1
     if mat.nnz * n * m > EXACT_BUDGET:
         return None
-    ratios = [float(x).as_integer_ratio() for x in mat.data]
-    s = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    data = np.array([a << (s - d.bit_length() + 1) for a, d in ratios], dtype=object)
+    s, data = dyadic(mat.data)
+    data = np.array(data, dtype=object)
     rows = [slice(a, b) for a, b in zip(mat.indptr[:-1], mat.indptr[1:])]
     power = np.identity(n, dtype=int).astype(object)
     p = [Fraction(0)] * (m + 1) if extra is None else [Fraction(float(x)) for x in extra]

@@ -125,20 +125,6 @@ def dense_pencils(g, variant="corrected"):
             "classical": [np.eye(nv), -A, zigzag_matrix(g, 2).dense() - np.eye(nv)]}
 
 
-def complex_times_sparse(coefficients, factors):
-    """The complex update of series.times_sparse on a copy of the
-    coefficient array, the reference for its real-list path:
-    c_n += a_k c_{n - k*step} for k = 1, 2, ... over all n, from the values
-    before the factor."""
-    c = np.array(coefficients, dtype=np.complex128)
-    m = len(c) - 1
-    for a, step in factors:
-        old = c.copy()
-        for k in range(1, min(len(a) - 1, m // step) + 1):
-            c[k * step :] += a[k] * old[: m + 1 - k * step]
-    return c
-
-
 def random_unitary(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zetagraph import blas, fixtures, routes
+import zetagraph
+from zetagraph import blas, cycles, fixtures, routes
 from zetagraph.cli import main
 from zetagraph.errors import RefusalError
 from zetagraph.graph import make_graph, parse_graph, serialize_graph
 from zetagraph.routes import RouteResult
 from zetagraph.series import Series
-from zetagraph.twist import local_system_block, make_local_system
+from zetagraph.twist import local_system_block, make_local_system, trivial_system
 
 
 @pytest.fixture
@@ -301,6 +306,31 @@ def test_exit_4_oracle_length_cap(gfile, capsys):
                  ["primes", path, "--max-len", "16"]):
         code, out, err = run(capsys, argv)
         assert code == 0 and out, (argv, err)
+
+
+def test_exit_4_oracle_class_budget(tmp_path, capsys, monkeypatch):
+    """K7 has 26.0 million cycle classes up to length 12: check and primes
+    are refused at the class budget within the length cap, in children whose
+    timeout fails the test rather than hanging it.  coeffs and lfun on the
+    oracle route are refused by the same budget, here lowered below k3's
+    four classes up to length 8."""
+    v = [f"v{i}" for i in range(7)]
+    k7 = make_graph(v, [(a, b, 1.5, 1.5) for i, a in enumerate(v) for b in v[i + 1:]])
+    path = tmp_path / "k7.json"
+    path.write_text(serialize_graph(k7) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zetagraph.__file__).parents[1])}
+    for argv in (["check", path, "--order", "12"], ["primes", path, "--max-len", "12"]):
+        r = subprocess.run([sys.executable, "-m", "zetagraph", *map(str, argv)], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 4 and r.stdout == "", argv
+        assert r.stderr.startswith("resource cap: more than"), (argv, r.stderr)
+    k3 = fixtures.catalogue()["k3"]
+    path = tmp_path / "k3.json"
+    path.write_text(serialize_graph(k3, local_system_block(trivial_system(k3), k3)) + "\n")
+    monkeypatch.setattr(cycles, "CLASS_BUDGET", 3)
+    for command in ("coeffs", "lfun"):
+        code, out, err = run(capsys, [command, str(path), "--route", "oracle", "--order", "8"])
+        assert code == 4 and out == [] and err.startswith("resource cap: more than 3 "), command
 
 
 def test_thread_cap_env(gfile, capsys, monkeypatch):

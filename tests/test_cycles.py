@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (complete_graph, complex_times_sparse, exact_euler_product, exact_fredholm,
-                      random_graph, random_unitary)
-from zetagraph import fixtures
+from conftest import (complete_graph, exact_euler_product, exact_fredholm, random_graph,
+                      random_unitary)
+from zetagraph import cycles, fixtures
 from zetagraph.cli import main
 from zetagraph.cycles import (
     CycleRecord,
@@ -21,7 +21,7 @@ from zetagraph.cycles import (
 from zetagraph.errors import ResourceCapError
 from zetagraph.graph import canonical_order, make_graph, reverse, serialize_graph
 from zetagraph.operators import reduced_path_matrix_direct, transfer_matrix
-from zetagraph.series import Series, _fmt, fredholm_det, max_deviation, times_sparse
+from zetagraph.series import Series, _fmt, fredholm_det, max_deviation
 from zetagraph.twist import make_local_system
 
 CAT = fixtures.catalogue()
@@ -179,6 +179,20 @@ def test_length_caps():
     assert closed_sequences(k3, 0) == {} and prime_cycles(k3, 0) == []
 
 
+def test_class_budget_boundary(monkeypatch):
+    """_closed_walks emits exactly CLASS_BUDGET classes, or sequences
+    outside necklace mode, and refuses one more."""
+    g = complete_graph(4, 1.5)
+    counts = {necklaces: sum(map(len, _closed_walks(g, 10, necklaces)))
+              for necklaces in (True, False)}
+    for necklaces, count in counts.items():
+        monkeypatch.setattr(cycles, "CLASS_BUDGET", count)
+        assert sum(map(len, _closed_walks(g, 10, necklaces))) == count
+        monkeypatch.setattr(cycles, "CLASS_BUDGET", count - 1)
+        with pytest.raises(ResourceCapError, match=f"more than {count - 1} cycle classes"):
+            _closed_walks(g, 10, necklaces)
+
+
 def test_pruned_enumeration_meets_every_class(rng):
     """prime_cycles roots each class at its least edge; the canonical
     rotations of all rooted sequences must give exactly its classes, each
@@ -269,11 +283,21 @@ def _reference_euler_product(g, M, system=None):
     primes = [rec for rec in _reference_prime_cycles(g, M, system) if rec.is_prime]
     if system is None:
         return exact_euler_product(g, [rec.edges for rec in primes], M)
-    factors = []
+    return _charpoly_product(primes, M, system.dim)
+
+
+def _charpoly_product(primes, M, dim):
+    """The twisted Euler product over the prime records in their order:
+    each factor det(1 - w u^l H) = sum_k a_k (w u^l)^k updates one complex
+    array in place, c_n += a_k w^k c_{n - kl} from the values before it,
+    term by term in k."""
+    c = Series.one(M).coefficients()
     for rec in primes:
-        charpoly = fredholm_det(rec.holonomy, system.dim).c
-        factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
-    return complex_times_sparse(Series.one(M).c, factors)
+        a, n = fredholm_det(rec.holonomy, dim).c, rec.length
+        old = c.copy()
+        for k in range(1, min(dim, M // n) + 1):
+            c[k * n :] += a[k] * rec.weight**k * old[: M + 1 - k * n]
+    return c
 
 
 def _pendant_chains():
@@ -361,11 +385,7 @@ def _sorted_euler_product(g, records, M, system):
     primes = [rec for rec in records if rec.is_prime]
     if system is None:
         return exact_euler_product(g, [rec.edges for rec in primes], M)
-    factors = []
-    for rec in primes:
-        charpoly = fredholm_det(rec.holonomy, system.dim).c
-        factors.append(([a * rec.weight ** k for k, a in enumerate(charpoly)], rec.length))
-    return times_sparse(Series.one(M), factors).c
+    return _charpoly_product(primes, M, system.dim)
 
 
 def _primes_csv(records):

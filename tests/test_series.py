@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (
     complete_graph,
-    complex_times_sparse,
     dense_pencils,
     exact_fredholm,
     random_graph,
@@ -29,7 +28,6 @@ from zetagraph.series import (
     csv_lines,
     fredholm_det,
     max_deviation,
-    times_sparse,
 )
 
 
@@ -138,77 +136,6 @@ def test_exp_matches_factorial_series_and_is_a_homomorphism():
 def test_exp_precondition():
     with pytest.raises(ValueError):
         Series([1, 1]).exp()
-
-
-def sequential_product(s, factors):
-    for a, step in factors:
-        c = np.zeros(s.order + 1, dtype=complex)
-        for k, ak in enumerate(a):
-            if k * step <= s.order:
-                c[k * step] = ak
-        s = s * Series(c)
-    return s
-
-
-def test_times_sparse_equals_sequential_binomial_products():
-    rng = np.random.default_rng(5)
-    M = 12
-    s = Series(rng.normal(size=M + 1))
-    for step in (1, 2, M, M + 1):
-        factors = [((1.0, -w), step) for w in rng.uniform(0.1, 1.5, size=6)]
-        got = times_sparse(s, factors)
-        assert got.order == M
-        assert np.all(got.c == sequential_product(s, factors).c), step
-    assert np.all(times_sparse(s, [((1.0, -0.5), M + 1)]).c == s.c)
-    assert np.all(times_sparse(Series.one(0), [((1.0, -0.5), 1)]).c == [1.0])
-
-
-def test_times_sparse_matches_sequential_twisted_charpoly_factors():
-    # the Euler product's factor det(1 - t H) at t = w u^l, H a 3x3 unitary
-    rng = np.random.default_rng(6)
-    M = 20
-    s = Series.one(M)
-    factors = []
-    for length in (1, 2, 3, 5, 7):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        w = rng.uniform(0.2, 0.9)
-        charpoly = fredholm_det(q, 3).c
-        factors.append(([a * w**k for k, a in enumerate(charpoly)], length))
-    got = times_sparse(s, factors)
-    want = sequential_product(s, factors)
-    assert np.max(np.abs(got.c - want.c)) < 1e-14
-
-
-def test_times_sparse_real_path_keeps_the_bits_of_the_complex_update():
-    """Float factors on a series whose imaginary parts are all +0.0 run on
-    a list of real parts; the result must be the complex update's to the
-    bit, signed zeros included.  A -0.0 imaginary part or a complex factor
-    must take the complex update itself."""
-    rng = np.random.default_rng(17)
-    values = np.concatenate([rng.normal(size=40), rng.uniform(-3, 3, size=20), [0.0, -0.0, 1.0]])
-
-    def real_factor(step):
-        return (1.0, *rng.choice(values, size=int(rng.integers(1, 3))).tolist()), step
-
-    for M in range(25):
-        for step in range(1, M + 2):
-            for _ in range(2):
-                s = Series(rng.choice(values, size=M + 1))
-                factors = [real_factor(step)]
-                factors += [real_factor(int(rng.integers(1, M + 2)))
-                            for _ in range(int(rng.integers(0, 6)))]
-                want = complex_times_sparse(s.c, factors)
-                assert times_sparse(s, factors).c.tobytes() == want.tobytes(), (M, factors)
-    M = 10
-    s = Series([complex(1.0, -0.0)] + rng.normal(size=M).tolist())
-    factors = [((1.0, -0.3), 2), ((1.0, 0.5, -0.25), 3)]
-    got = times_sparse(s, factors).c
-    assert got.tobytes() == complex_times_sparse(s.c, factors).tobytes()
-    assert np.signbit(got[0].imag)
-    s = Series(rng.normal(size=M + 1))
-    factors = [((1.0, complex(-0.3, 0.4)), 1), ((1.0, 0.5j, -0.25 + 0.1j), 2)]
-    assert (times_sparse(s, factors).c.tobytes()
-            == complex_times_sparse(s.c, factors).tobytes())
 
 
 def test_fredholm_det_scalar_cases():
