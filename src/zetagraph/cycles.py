@@ -35,9 +35,9 @@ prime's length and exact integer weight straight from the walk, which
 multiplies the dyadic integers it is given in place of the float weights.
 
 Both walks are exponential in the length bound and intended for small
-graphs; they refuse bounds above LENGTH_CAP, and _closed_walks refuses a
-walk that emits more than CLASS_BUDGET classes, so a dense graph is refused
-before it runs out of memory or time.
+graphs; they refuse bounds above LENGTH_CAP, and a walk that emits more
+than CLASS_BUDGET classes (vertex walks for reduced_walks), so a dense graph
+is refused before it runs out of memory or time.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .series import Series, dyadic, fredholm_det
 
 LENGTH_CAP = 20
 
-# classes (sequences outside necklace mode) _closed_walks may emit, about
-# 100 MB: four times the 111,508 necklaces of K4 at length 20
+# what a walk may emit, about 100 MB: four times the 111,508 necklaces of K4
+# at length 20 (classes or sequences of _closed_walks, walks of reduced_walks)
 CLASS_BUDGET = 450_000
 
 
@@ -166,12 +166,17 @@ def reduced_walks(g: WeightedGraph, L: int):
     """Yield (walk, weight) for every vertex walk (x_0, ..., x_n), n <= L,
     whose steps obey the rule: x_n = x_{n-2} only when (x_{n-2}, x_{n-1})
     carries the backtrack flag.  Walks start from each vertex in turn and the
-    weight is the product of the step weights."""
+    weight is the product of the step weights; past CLASS_BUDGET walks it
+    raises ResourceCapError."""
     _check_length(L)
+    yielded = 0
     for start in g.vertices:
         stack = [((start,), 1.0)]
         while stack:
             walk, wgt = stack.pop()
+            if (yielded := yielded + 1) > CLASS_BUDGET:
+                raise ResourceCapError(f"more than {CLASS_BUDGET} vertex walks up to "
+                                       f"length {L}; enumeration is exponential")
             yield walk, wgt
             if len(walk) > L:
                 continue

@@ -6,7 +6,9 @@ det(1 - uT) is normative; the factorization, block-determinant, partial
 product, and unit-weight routes are independent computations checked against
 it coefficient by coefficient.  Each adds the power sums of its factors and
 ends in one guarded Newton step, which refuses a coefficient it cannot
-certify (see _exact_where_refused and _factorization for the exceptions).
+certify.  Where the route's matrix holds its exact numbers (each route
+decides that of its own matrix), _exact_where_refused recomputes a refused
+series by series.exact_det instead, within its budget.
 Their matrices, and those of spectrum_poles, are built on the graph's
 leafless core (WeightedGraph.core), which has the same zeta and
 L-functions; applicability is judged on the graph itself, once, by why_not
@@ -16,6 +18,7 @@ from the route's entry in ROUTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +29,7 @@ from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
-from .series import (Series, coeffs_agree, exact_fredholm_det, exact_jacobi_det, fredholm_det,
-                     max_deviation)
+from .series import Series, coeffs_agree, exact_det, fredholm_det, max_deviation
 
 
 @dataclass(frozen=True)
@@ -105,22 +107,23 @@ def zeta_fredholm(g: WeightedGraph, M: int, system=None) -> RouteResult:
     With a local system T is twisted and the result is the reciprocal
     L-series; the zeta function is the trivial one-dimensional case.  T is
     built on g.core, which has the same determinant.  T holds the weights
-    themselves, times the transports under a system, and is exact for
-    _exact_where_refused where no entry has an imaginary part: untwisted,
-    or under real transports such as a trivial system's."""
+    themselves, times the transports under a system, so the head [-T] is
+    exact where no entry has an imaginary part: untwisted, or under real
+    transports such as a trivial system's."""
     T = transfer_matrix(g.core, system).mat
-    series = _exact_where_refused(T, M, not np.any(T.data.imag))
+    series = _exact_where_refused(partial(fredholm_det, T, M), M,
+                                  lambda: None if np.any(T.data.imag) else [-T.real])
     return RouteResult("fredholm", series, {"dimension": T.shape[0]})
 
 
-def _exact_where_refused(mat, M: int, exact: bool, extra=None) -> Series:
-    """fredholm_det(mat, M, extra), or where its guard refuses and mat holds
-    the route's exact numbers, all real, exact_fredholm_det of mat.real
-    within its budget."""
+def _exact_where_refused(det, M: int, exact_head, extra=None) -> Series:
+    """det(extra), or where its guard refuses and exact_head() gives the real
+    head of the same determinant in the route's exact numbers (None where
+    the matrix does not hold them), exact_det of it within its budget."""
     try:
-        return fredholm_det(mat, M, extra)
+        return det(extra)
     except RefusalError:
-        if exact and (series := exact_fredholm_det(mat.real, M, extra)) is not None:
+        if (head := exact_head()) is not None and (series := exact_det(head, M, extra)) is not None:
             return series
         raise
 
@@ -136,10 +139,9 @@ def _factorization(g: WeightedGraph, M: int, system=None, alpha=0.0) -> tuple[Se
     not 0): det P and the roundtrip product, which grow while their product
     stays small, are never expanded.  Built on g.core, as are its pairs.
 
-    Where the guard refuses and the head and the added sums are integers
-    (integer weights, untwisted or under a system of integer transports,
-    and a half-integer alpha), exact_jacobi_det recomputes the series within
-    its budget."""
+    The head is exact where it is real and integer-valued: integer weights,
+    untwisted or under a system of integer transports, whose added sums are
+    then integers too (a half-integer alpha)."""
     g = g.core
     ms = vertex_series(*incidence_maps(g, system), M)
     dim = 1 if system is None else system.dim
@@ -149,12 +151,10 @@ def _factorization(g: WeightedGraph, M: int, system=None, alpha=0.0) -> tuple[Se
     extra = np.zeros(n + 1)
     extra[2::2] = dim * np.power.outer(W, np.arange(1, n // 2 + 1)).sum(axis=0)
     extra[2:3] += 2 * alpha
-    try:
-        return ms.det(extra), ms.dim
-    except RefusalError:
-        if (series := exact_jacobi_det(ms, extra)) is not None:
-            return series, ms.dim
-        raise
+    C = ms.coeffs[1:]
+    series = _exact_where_refused(ms.det, M, lambda: None if np.any(C != C.real.round())
+                                  else C.real, extra)
+    return series, ms.dim
 
 
 def zeta_sunada(g: WeightedGraph, M: int, system=None) -> RouteResult:
@@ -205,8 +205,8 @@ def _pencil_det(d: int, band, M: int, extra=None) -> Series:
     is as sparse as C_1 and C_2.  band lists its upper d x 2d band
     [-C_1, -C_2] as (row offset, column offset, scale, CSR block) pieces,
     summed where they overlap; L is assembled once from their concatenated
-    coordinate arrays.  An integer-valued L (integer weights) is exact for
-    _exact_where_refused."""
+    coordinate arrays.  The head [-L] is exact where L is integer-valued
+    (integer weights)."""
     rows, cols, vals = [np.arange(d, 2 * d)], [np.arange(d)], [np.ones(d)]
     for r0, c0, scale, block in band:
         rows.append(r0 + np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)))
@@ -214,7 +214,8 @@ def _pencil_det(d: int, band, M: int, extra=None) -> Series:
         vals.append(scale * block.data)
     L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(2 * d, 2 * d))
-    return _exact_where_refused(L, M, not np.any(L.data % 1), extra)
+    return _exact_where_refused(partial(fredholm_det, L, M), M,
+                                lambda: None if np.any(L.data % 1) else [-L], extra)
 
 
 def zeta_bass(g: WeightedGraph, M: int, variant: str = "corrected") -> RouteResult:
@@ -410,13 +411,17 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
     moduli = np.round(np.abs(poles) * scale, 9).tolist()
     keys = list(zip(moduli, np.round(np.angle(poles), 9).tolist()))
     order = sorted(range(len(poles)), key=keys.__getitem__)
-    clustered: list[tuple[complex, int]] = []
-    for p in poles[order]:
-        if clustered and abs(p - clustered[-1][0]) <= 1e-8 * abs(clustered[-1][0]):
-            clustered[-1] = (clustered[-1][0], clustered[-1][1] + 1)
+    # a pole joins any cluster of its modulus group, not only the last: one
+    # cluster's angles at -1 fall at both ends of its group, +pi and -pi
+    groups: dict[float, list[list]] = {}
+    for i in order:
+        group = groups.setdefault(moduli[i], [])
+        near = next((c for c in group if abs(poles[i] - c[0]) <= 1e-8 * abs(c[0])), None)
+        if near:
+            near[1] += 1
         else:
-            clustered.append((p, 1))
-    return clustered
+            group.append([poles[i], 1])
+    return [(p, mult) for group in groups.values() for p, mult in group]
 
 
 def poles_csv_lines(poles: list[tuple[complex, int]]) -> list[str]:

@@ -15,16 +15,17 @@ the coefficient contract.  fredholm_det takes the power traces tr T^j of a
 sparse or dense T, and MatrixSeries.det the power sums of log det P for
 P = sum C_k u^k by Jacobi's formula.  Both add the power sums of another
 factor before the Newton step, as the routes do for the roundtrip product,
-(1 - u^2)^-chi and exp(-alpha u^2).  exact_fredholm_det recomputes
-fredholm_det, and exact_jacobi_det MatrixSeries.det on an integer head, in
-integers and Fractions.  Every float is an integer over a power of two, and
-dyadic scales floats to such integers over one common power, for
-exact_fredholm_det and the untwisted Euler product.
+(1 - u^2)^-chi and exp(-alpha u^2).  exact_det computes either determinant
+exactly from a real head (det(1 - u mat) has the head [-mat]), taking each
+entry as the dyadic number it is; the routes decide where those are their
+exact numbers.  dyadic scales floats to integers over one common power of
+two, for exact_det and the untwisted Euler product.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import RefusalError
 
@@ -162,8 +163,8 @@ TRACE_BLOCK = 64
 # the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
 CONTRACT = 1e-9
 
-# the most work an exact determinant takes on, in multiply-adds: stored entries
-# x dimension x powers for exact_fredholm_det, d^3 x deg x order for exact_jacobi_det
+# the most work exact_det takes on, in multiply-adds: the head's stored entries
+# x dimension x power sums, sum_k nnz(C_k) x d x m
 EXACT_BUDGET = 5 * 10**6
 
 _EPS = np.finfo(float).eps
@@ -238,60 +239,43 @@ def dyadic(values) -> tuple[int, list[int]]:
     return s, [n << (s - d.bit_length() + 1) for n, d in ratios]
 
 
-def exact_fredholm_det(mat, order: int, extra=None) -> Series | None:
-    """fredholm_det of a real CSR mat in exact arithmetic, each coefficient
-    rounded once; None where the work would exceed EXACT_BUDGET.
+def exact_det(head, order: int, extra=None) -> Series | None:
+    """det(I + sum_k C_k u^k) exp(-sum_j extra_j u^j / j) in exact arithmetic,
+    each coefficient rounded once, from the real square head C_1..C_deg (CSR
+    or dense, each entry the dyadic rational it is); None where the work,
+    sum_k nnz(C_k) x d x m multiply-adds, would exceed EXACT_BUDGET.
 
-    N = 2^s mat is an integer matrix, its entries those of dyadic, and
-    tr(mat^j) = tr(N^j) / 2^(sj): the powers of N are taken row by row in
-    Python integers, and Newton's recursion runs in Fractions on the traces
-    plus extra.
+    With 2^s the common denominator of dyadic, D_k = 2^(sk) C_k is the
+    integer head of P in v = u / 2^s.  Jacobi's recursion of
+    MatrixSeries.det runs on it in Python integers to the same degree m,
+    X_n = -sum_j D_j X_{n-j} and p_n(u) = -sum_k k tr(D_k X_{n-k}) / 2^(sn),
+    the stored entries of [D_1 ... D_deg] gathered row by row against the
+    stacked X_{n-1}, ..., X_{n-deg} (zero before X_0); Newton's recursion
+    runs in Fractions on the power sums plus extra.
     """
     from fractions import Fraction
 
-    n = mat.shape[0]
-    m = min(order, n) if extra is None else len(extra) - 1
-    if mat.nnz * n * m > EXACT_BUDGET:
+    D = sp.hstack([sp.csr_matrix(c) for c in head], format="csr")
+    d, deg = D.shape[0], len(head)
+    m = min(order, d * deg) if extra is None else len(extra) - 1
+    if D.nnz * d * m > EXACT_BUDGET:
         return None
-    s, data = dyadic(mat.data)
-    data = np.array(data, dtype=object)
-    rows = [slice(a, b) for a, b in zip(mat.indptr[:-1], mat.indptr[1:])]
-    power = np.identity(n, dtype=int).astype(object)
+    s, data = dyadic(D.data)
+    k = (D.indices // d + 1).tolist()  # the entry's C_k
+    data = np.array([x << (s * (j - 1)) for x, j in zip(data, k)], dtype=object)
+    weighted = data * np.array(k, dtype=object)
+    rows = np.repeat(np.arange(d), np.diff(D.indptr))
+    starts = D.indptr[:-1][np.diff(D.indptr) > 0]
+    X = np.zeros((d * deg, d), dtype=object)  # X_{n-1}, ..., X_{n-deg}
+    X[:d] = np.identity(d, dtype=int)
     p = [Fraction(0)] * (m + 1) if extra is None else [Fraction(float(x)) for x in extra]
-    for j in range(1, m + 1):
-        power = np.array([data[r] @ power[mat.indices[r]] for r in rows], dtype=object)
-        p[j] += Fraction(int(power.trace()), 1 << (s * j))
-    return _exact_newton(p, order)
-
-
-def exact_jacobi_det(ms: "MatrixSeries", extra=None) -> Series | None:
-    """MatrixSeries.det of ms in exact arithmetic, each coefficient rounded
-    once; None where a head coefficient or an extra term is not an integer,
-    or where the work would exceed EXACT_BUDGET.
-
-    Jacobi's recursion of MatrixSeries.det runs on the integer head in
-    Python integers, X_k = -sum_j C_j X_{k-j} and the power sums
-    p_n = -sum_k k tr(C_k X_{n-k}) up to the same degree m, and Newton's
-    recursion in Fractions on the power sums plus extra.  The work is
-    about deg x m products of d x d matrices, d^3 x deg x m multiply-adds.
-    """
-    C = ms.coeffs
-    d, deg = ms.dim, len(C) - 1
-    m = min(ms.order, d * deg) if extra is None else len(extra) - 1
-    terms = [C] if extra is None else [C, np.asarray(extra)]
-    if any(np.any(t.imag) or np.any(t.real % 1) for t in terms) or d**3 * deg * m > EXACT_BUDGET:
-        return None
-    head = np.vectorize(int, otypes=[object])(C.real)
-    X = [np.identity(d, dtype=int).astype(object)]
-    p = [0] * (m + 1)
     for n in range(1, m + 1):
-        J = range(1, min(n, deg) + 1)
-        p[n] = -sum(k * (head[k] * X[n - k].T).sum() for k in J)
+        p[n] -= Fraction(int(np.dot(weighted, X[D.indices, rows])), 1 << (s * n))
         if n < m:
-            X.append(-sum(head[j] @ X[n - j] for j in J))
-    if extra is not None:
-        p = [a + int(b.real) for a, b in zip(p, terms[1])]
-    return _exact_newton(p, ms.order)
+            nxt = np.zeros((d, d), dtype=object)
+            nxt[rows[starts]] = np.add.reduceat(data[:, None] * X[D.indices], starts)
+            X = np.concatenate([-nxt, X[: d * (deg - 1)]])
+    return _exact_newton(p, order)
 
 
 def _exact_newton(p, order: int) -> Series:

@@ -20,7 +20,8 @@ from zetagraph.cycles import (
 )
 from zetagraph.errors import ResourceCapError
 from zetagraph.graph import canonical_order, make_graph, reverse, serialize_graph
-from zetagraph.operators import reduced_path_matrix_direct, transfer_matrix
+from zetagraph.operators import (anchored_path_matrix, reduced_path_matrix_direct,
+                                 transfer_matrix)
 from zetagraph.series import Series, _fmt, fredholm_det, max_deviation
 from zetagraph.twist import make_local_system
 
@@ -191,6 +192,24 @@ def test_class_budget_boundary(monkeypatch):
         monkeypatch.setattr(cycles, "CLASS_BUDGET", count - 1)
         with pytest.raises(ResourceCapError, match=f"more than {count - 1} cycle classes"):
             _closed_walks(g, 10, necklaces)
+
+
+def test_vertex_walk_budget_boundary(monkeypatch):
+    """reduced_walks yields exactly CLASS_BUDGET walks and refuses one more,
+    in each of the enumerators behind it."""
+    g = complete_graph(4, 1.5)
+    count = sum(1 for _ in cycles.reduced_walks(g, 6))
+    calls = [lambda: compute_Nm(g, 6, "printed"), lambda: compute_Nm(g, 6, "corrected"),
+             lambda: tail_mode_report(g, 6), lambda: reduced_path_matrix_direct(g, 6),
+             lambda: anchored_path_matrix(g, 6, 1)]
+    monkeypatch.setattr(cycles, "CLASS_BUDGET", count)
+    assert sum(1 for _ in cycles.reduced_walks(g, 6)) == count
+    for call in calls:
+        call()
+    monkeypatch.setattr(cycles, "CLASS_BUDGET", count - 1)
+    for call in calls:
+        with pytest.raises(ResourceCapError, match=f"more than {count - 1} vertex walks"):
+            call()
 
 
 def test_pruned_enumeration_meets_every_class(rng):

@@ -517,6 +517,23 @@ def test_spectrum_poles_frozen():
     assert lines[1].endswith(",0.0,1")
 
 
+def test_spectrum_poles_cluster_across_the_negative_axis(rng):
+    # the unit K_n has the pole -1 with multiplicity |E| - |V|, from the
+    # factor (1 - u^2)^(|E| - |V|); np.angle puts its members at +pi and -pi,
+    # both ends of the unit-modulus group, and K8 printed it as 19 and 1,
+    # K10 as 34 and 1
+    for n, mult in ((8, 20), (10, 35)):
+        poles = spectrum_poles(complete_graph(n, 1.0))
+        assert [m for p, m in poles if abs(p + 1) <= 1e-8] == [mult], n
+    # no two printed poles lie within the clustering tolerance of each other
+    graphs = [*CAT.values(), *(complete_graph(n, w) for n in range(4, 9) for w in (1.0, 1.5)),
+              *(random_graph(rng, max_vertices=9, extra_edges=4) for _ in range(20))]
+    for g in graphs:
+        poles = [p for p, _ in spectrum_poles(g)]
+        for i, p in enumerate(poles):
+            assert all(abs(p - q) > 1e-8 * max(abs(p), abs(q)) for q in poles[:i])
+
+
 def test_spectrum_poles_in_place_equal_the_eigvals_fallback(rng, monkeypatch):
     """dgeev runs in place on the core's T where numpy's OpenBLAS is found,
     and np.linalg.eigvals on the same array where it is not: both print the

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from zetagraph.series import (
     Series,
     coeffs_agree,
     csv_lines,
+    exact_det,
     fredholm_det,
     max_deviation,
 )
@@ -187,13 +189,36 @@ def test_matrix_series_det_is_exact_past_the_degree():
     assert det.order == 24
     assert np.all(det.coefficients()[13:] == 0)
     assert coeffs_agree(det, fredholm_det(T, 24), tol=1e-12)
-    # its exact recomputation takes integer heads and power sums only: on
-    # the unit K4 it is the exact determinant rounded once, zeros included
-    assert series.exact_jacobi_det(MatrixSeries([np.eye(12), -T], 24)) is None
+    # exact_det takes the 1.5 head as the dyadic numbers it holds: the exact
+    # determinant rounded once, zeros included
+    assert exact_det([-T], 24).c.tolist() == [float(w) for w in exact_fredholm(T, 24)]
+    # on the unit K4, with a half-integer extra at every power: its power
+    # sums are those of (1 - u)^(1/2), whose coefficients are binom(1/2, k) (-1)^k
     U = transfer_matrix(complete_graph(4, 1.0)).dense()
-    unit, want = MatrixSeries([np.eye(12), -U], 24), exact_fredholm(U, 24)
-    assert series.exact_jacobi_det(unit).c.tolist() == [float(w) for w in want]
-    assert series.exact_jacobi_det(unit, np.full(25, 0.5)) is None
+    root = [Fraction(1)]
+    for k in range(1, 25):
+        root.append(root[-1] * (k - Fraction(3, 2)) / k)
+    want = exact_fredholm(U, 24)
+    want = [float(sum(want[j] * root[n - j] for j in range(n + 1))) for n in range(25)]
+    assert exact_det([-U], 24, np.full(25, 0.5)).c.tolist() == want
+
+
+def test_exact_det_takes_empty_rows_and_dyadic_pencils(rng):
+    # a head whose second row stores no entry, CSR or dense: det(1 - u mat)
+    mat = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 1e-5]])
+    want = [float(w) for w in exact_fredholm(mat, 5)]
+    for head in ([-mat], [sp.csr_matrix(-mat)], -mat[None]):
+        assert exact_det(head, 5).c.tolist() == want
+    # a degree-2 pencil I + u C_1 + u^2 C_2 of random dyadic entries is
+    # det(1 - uL) of its companion L = [[-C_1, -C_2], [I, 0]]; row 1 of both
+    # coefficients is empty, and the pencil's degree 6 ends the power sums
+    for _ in range(3):
+        C1, C2 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+        C1[1] = C2[1] = 0.0
+        L = np.block([[-C1, -C2], [np.eye(3), np.zeros((3, 3))]])
+        want = [float(w) for w in exact_fredholm(L, 8)]
+        assert exact_det([C1, sp.csr_matrix(C2)], 8).c.tolist() == want
+        assert want[7:] == [0.0, 0.0]
 
 
 def test_fredholm_det_on_fixture_transfer_operators():
