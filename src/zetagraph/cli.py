@@ -100,9 +100,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_graph(path: str) -> tuple[WeightedGraph, str]:
+def _read_graph(path: str) -> tuple[WeightedGraph, dict]:
+    """The graph of the file and the document parse_graph loaded it from."""
     text = Path(path).read_text()
-    return parse_graph(text), text
+    return parse_graph(text), _load_document(text)
 
 
 def _check_order(M: int) -> None:
@@ -158,9 +159,9 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    g, text = _read_graph(args.file)
+    g, doc = _read_graph(args.file)
     _check_order(args.order)
-    system = load_local_system(_load_document(text), g)
+    system = load_local_system(doc, g)
     if system is None:
         raise ValueError("graph file has no local_system block")
     series = lfunction(g, system, args.order, route=args.route)

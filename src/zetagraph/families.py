@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import ResourceCapError
 from .graph import WeightedGraph, make_graph
 from .routes import zeta_fredholm
@@ -129,13 +131,9 @@ def convergence_study(
         raise ValueError(f"K_max must be >= 0, got {K_max}")
     if K_max > BLOCK_CAP:
         raise ResourceCapError(f"K_max {K_max} exceeds cap {BLOCK_CAP}")
-    series = [zeta_fredholm(source.block(k), M).series for k in range(K_max + 1)]
-    rows = []
-    for k in range(K_max):
-        diff = series[k + 1] - series[k]
-        for n in range(M + 1):
-            rows.append((k, n, abs(diff.coefficient(n))))
-    return rows
+    c = [zeta_fredholm(source.block(k), M).series.c for k in range(K_max + 1)]
+    return [(k, n, delta) for k in range(K_max)
+            for n, delta in enumerate(np.abs(c[k + 1] - c[k]).tolist())]
 
 
 def study_csv_lines(rows: list[tuple[int, int, float]]) -> list[str]:

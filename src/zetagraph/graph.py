@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -68,9 +68,6 @@ class WeightedGraph:
             out.append((u, v))
             out.append((v, u))
         return out
-
-    def w(self, e: OrientedEdge) -> float:
-        return self.weight[e]
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[OrientedEdge, ...]]:
@@ -356,7 +353,11 @@ def parse_graph(text: str) -> WeightedGraph:
     return g
 
 
+@lru_cache(maxsize=1)
 def _load_document(text: str) -> dict:
+    """The JSON document of text, checked for its top-level keys.  The last
+    one is cached, so that the CLI reads the document parse_graph loaded
+    without a second json.loads; callers share it and do not mutate it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -59,9 +59,6 @@ class LinearOperator:
     def dense(self) -> np.ndarray:
         return self.mat.toarray()
 
-    def trace(self) -> complex:
-        return complex(self.mat.diagonal().sum())
-
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if self.cols != other.rows:
             raise ValueError("basis mismatch in operator product")

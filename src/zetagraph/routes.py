@@ -411,12 +411,14 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
     moduli = np.round(np.abs(poles) * scale, 9).tolist()
     keys = list(zip(moduli, np.round(np.angle(poles), 9).tolist()))
     order = sorted(range(len(poles)), key=keys.__getitem__)
-    # a pole joins any cluster of its modulus group, not only the last: one
-    # cluster's angles at -1 fall at both ends of its group, +pi and -pi
+    # within a modulus group the poles come sorted by angle, so a pole joins
+    # the group's last cluster or, across the wrap from +pi to -pi at -1, its
+    # first
     groups: dict[float, list[list]] = {}
     for i in order:
         group = groups.setdefault(moduli[i], [])
-        near = next((c for c in group if abs(poles[i] - c[0]) <= 1e-8 * abs(c[0])), None)
+        near = next((c for c in group[:1] + group[-1:]
+                     if abs(poles[i] - c[0]) <= 1e-8 * abs(c[0])), None)
         if near:
             near[1] += 1
         else:

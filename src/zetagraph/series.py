@@ -1,17 +1,17 @@
 """Truncated power series in one variable, scalar and matrix valued.
 
 A Series holds complex coefficients c_0..c_M for a fixed truncation order M;
-Series(head, order=M) zero-pads a short head.  A MatrixSeries stores only its
-head C_0..C_deg beside M, in its coefficients' own dtype: float64 for real
-coefficients, so an untwisted graph's determinant runs in real arithmetic,
-and complex128 once any coefficient is complex.  Binary operations
-zero-extend the shorter operand, so mixing orders is safe but the high
-coefficients of the result are only as meaningful as the inputs.
+Series(head, order=M) zero-pads a short head.  It is truncated, evaluated
+and compared (max_deviation and coeffs_agree zero-extend the shorter one),
+never multiplied: the routes add power sums instead.  A MatrixSeries stores
+only its head C_0..C_deg beside M, in its coefficients' own dtype: float64
+for real coefficients, so an untwisted graph's determinant runs in real
+arithmetic, and complex128 once any coefficient is complex.
 
-Two determinants and Series.exp turn power sums into coefficients by one
-Newton recursion, _newton, which is also their certificate: it estimates
-each coefficient's error and raises RefusalError where the estimate passes
-the coefficient contract.  fredholm_det takes the power traces tr T^j of a
+Two determinants turn power sums into coefficients by one Newton
+recursion, _newton, which is also their certificate: it estimates each
+coefficient's error and raises RefusalError where the estimate passes the
+coefficient contract.  fredholm_det takes the power traces tr T^j of a
 sparse or dense T, and MatrixSeries.det the power sums of log det P for
 P = sum C_k u^k by Jacobi's formula.  Both add the power sums of another
 factor before the Newton step, as the routes do for the roundtrip product,
@@ -68,53 +68,6 @@ class Series:
     def truncate(self, order: int) -> "Series":
         return Series(self.c, order=order)
 
-    # -- ring operations ----------------------------------------------------
-
-    def _paired(self, other: "Series") -> tuple[np.ndarray, np.ndarray, int]:
-        m = max(self.order, other.order)
-        a = np.zeros(m + 1, dtype=np.complex128)
-        b = np.zeros(m + 1, dtype=np.complex128)
-        a[: len(self.c)] = self.c
-        b[: len(other.c)] = other.c
-        return a, b, m
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Series([other], order=self.order)
-        a, b, m = self._paired(other)
-        return Series(a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(-self.c)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Series([other], order=self.order)
-        a, b, m = self._paired(other)
-        return Series(a - b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Series(self.c * other)
-        a, b, m = self._paired(other)
-        return Series(np.convolve(a, b)[: m + 1])
-
-    __rmul__ = __mul__
-
-    def exp(self) -> "Series":
-        """Truncated exponential; requires constant coefficient 0.
-
-        exp(a) = exp(-sum_j p_j u^j / j) with power sums p_j = -j a_j.
-        """
-        if self.c[0] != 0:
-            raise ValueError("exp needs constant coefficient 0")
-        return _newton(-np.arange(self.order + 1) * self.c)
-
     def __call__(self, u: complex) -> complex:
         val = 0j
         for cn in self.c[::-1]:
@@ -127,14 +80,22 @@ class Series:
         return f"Series([{shown}{tail}], order={self.order})"
 
 
+def _paired(a: Series, b: Series) -> tuple[np.ndarray, np.ndarray]:
+    """Both coefficient arrays, the shorter zero-extended to the longer."""
+    x = np.zeros(max(len(a.c), len(b.c)), dtype=np.complex128)
+    y = x.copy()
+    x[: len(a.c)], y[: len(b.c)] = a.c, b.c
+    return x, y
+
+
 def max_deviation(a: Series, b: Series) -> float:
-    x, y, _ = a._paired(b)
+    x, y = _paired(a, b)
     return float(np.max(np.abs(x - y)))
 
 
 def coeffs_agree(a: Series, b: Series, tol: float = 1e-9) -> bool:
     """Per-coefficient comparison at |delta| <= tol + tol*max(1, |ref|)."""
-    x, y, _ = a._paired(b)
+    x, y = _paired(a, b)
     ref = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     return bool(np.all(np.abs(x - y) <= tol + tol * ref))
 
@@ -326,13 +287,6 @@ class MatrixSeries:
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a @ b
-        return MatrixSeries(out, max(self.order, other.order))
-
     def det(self, extra=None) -> Series:
         """Determinant of P = sum_k C_k u^k (C_0 = I) by Jacobi's formula,
         times exp(-sum_j extra_j u^j / j) where extra is given, by _newton.
@@ -348,14 +302,11 @@ class MatrixSeries:
         order, so a stop at m keeps its bits.
 
         The recursion runs in the head's dtype, and each order takes two
-        calls: one batched trace tr(C_j X_k) for every j, and one stacked
-        product C_j X_{k+1-j} of every j, summed over j in increasing order.
-        A real product is taken as (X^T C^T)^T: with the OpenBLAS that numpy
-        ships, at d <= 100, that rounds as the real part of the complex
-        product does, so a real head gives the bits of its complex cast
-        (checked on every bench graph), while C X itself does not.  The X_k
-        fill a buffer of deg slots from the last down, so that X_k, X_{k-1},
-        ... is always a forward slice.
+        calls: one batched trace tr(C_j X_k) for every j, and one product of
+        the stacked head [C_1 ... C_J] (d x Jd) with X_k, ..., X_{k+1-J}
+        stacked (Jd x d), which sums C_j X_{k+1-j} over j.  The X_k fill a
+        buffer of deg slots from the last down, so that X_k, X_{k-1}, ... is
+        always a contiguous slice.
         """
         C = self.coeffs
         d, deg = self.dim, len(C) - 1
@@ -365,11 +316,10 @@ class MatrixSeries:
         p = np.zeros(m + 1, dtype=C.dtype)  # p_n = -n l_n
         size = np.zeros(m + 1)  # sum_k k |tr(C_k X_{n-k})|
         weights = np.arange(1, deg + 1)
+        head = C[1:].transpose(1, 0, 2).reshape(d, deg * d)  # [C_1 ... C_deg]
         X = np.empty((max(deg, 1), d, d), dtype=C.dtype)  # X_k, X_{k-1}, ... from X[top]
         top = len(X) - 1
         X[top] = np.eye(d)
-        real = np.isrealobj(C)
-        Ct, Xt = C.transpose(0, 2, 1), X.transpose(0, 2, 1)
         for k in range(m):
             J = min(deg, m - k)
             terms = weights[:J] * np.einsum("jab,ba->j", C[1 : J + 1], X[top])
@@ -377,10 +327,7 @@ class MatrixSeries:
             size[k + 1 : k + J + 1] += np.abs(terms)
             if k + 1 < m:
                 J = min(k + 1, deg)
-                if real:
-                    nxt = np.matmul(Xt[top : top + J], Ct[1 : J + 1]).sum(axis=0).T
-                else:
-                    nxt = np.matmul(C[1 : J + 1], X[top : top + J]).sum(axis=0)
+                nxt = head[:, : J * d] @ X[top : top + J].reshape(J * d, d)
                 if top:
                     top -= 1
                 else:  # X_{k+1-deg} is needed no more

@@ -67,6 +67,15 @@ def complete_graph(n, weight):
                               for v in names[i + 1 :]])
 
 
+def prism_graph(n):
+    """The unit prism C_n x K_2: two n-cycles joined by n rungs, 3-regular
+    with |V| = 2n and |E| = 3n, bipartite for even n."""
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    edges = [(x[i], x[(i + 1) % n]) for x in (a, b) for i in range(n)]
+    edges += list(zip(a, b))
+    return make_graph(a + b, [(u, v, 1.0, 1.0) for u, v in edges])
+
+
 def exact_fredholm(mat, order):
     """det(1 - u mat) to the given order in exact Fractions.
 

@@ -147,10 +147,15 @@ def sign_system_file(tmp_path):
     return str(path)
 
 
-def test_lfun_sign_twist(tmp_path, capsys):
+def test_lfun_sign_twist(tmp_path, capsys, monkeypatch):
     path = sign_system_file(tmp_path)
+    loads = []
+    monkeypatch.setattr(json, "loads", lambda s, load=json.loads: loads.append(s) or load(s))
     for route in ("determinant", "oracle"):
+        loads.clear()
         code, out, _ = run(capsys, ["lfun", path, "--order", "6", "--route", route])
+        # the graph and its local system come from one json.loads of the file
+        assert len(loads) <= 1
         assert code == 0
         assert out[4] == "3,2.0,0.0"
         assert out[7] == "6,1.0,0.0"

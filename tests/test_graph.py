@@ -30,8 +30,8 @@ def test_reverse_is_involutive():
 
 def test_make_graph_stores_both_orientations():
     g = make_graph(["a", "b"], [("a", "b", 2.0, 3.0)])
-    assert g.w(("a", "b")) == 2.0
-    assert g.w(("b", "a")) == 3.0
+    assert g.weight[("a", "b")] == 2.0
+    assert g.weight[("b", "a")] == 3.0
     assert set(g.oriented_edges()) == {("a", "b"), ("b", "a")}
     assert list(g.neighbors("a")) == ["b"]
 
@@ -221,7 +221,7 @@ def test_serialize_parse_round_trip():
 
 def test_parse_defaults_reverse_weight_and_flags():
     g = parse_graph('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "wuv": 0.5}]}')
-    assert g.w(("b", "a")) == 0.5
+    assert g.weight[("b", "a")] == 0.5
     assert not g.backtrack
 
 

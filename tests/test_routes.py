@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import complete_graph, contract_ratio, dense_pencils, exact_fredholm, random_graph
+from conftest import (
+    complete_graph,
+    contract_ratio,
+    dense_pencils,
+    exact_fredholm,
+    prism_graph,
+    random_graph,
+)
 from zetagraph import blas, fixtures, routes, series
 from zetagraph.errors import RefusalError, ResourceCapError
 from zetagraph.graph import make_graph
-from zetagraph.operators import transfer_matrix
+from zetagraph.operators import transfer_matrix, zigzag_matrix
 from zetagraph.routes import (
     ROUTE_BUILDERS,
     ROUTES,
@@ -124,8 +133,11 @@ def test_partial_deviation_is_exactly_the_alpha_factor(rng):
         fred = zeta_fredholm(g, 10).series
         for variant in ("W", "w-squared"):
             res = zeta_partial_formula(g, 10, alpha_variant=variant)
-            factor = Series([0.0, 0.0, -res.metadata["alpha"]], order=10).exp()
-            assert max_deviation(res.series, fred * factor) < 1e-12, variant
+            # exp(-alpha u^2) = sum_k (-alpha)^k u^(2k) / k!
+            factor = np.zeros(11)
+            factor[::2] = [(-res.metadata["alpha"]) ** k / math.factorial(k) for k in range(6)]
+            want = Series(np.convolve(fred.c, factor), order=10)
+            assert max_deviation(res.series, want) < 1e-12, variant
 
 
 def test_classical_frozen_values():
@@ -532,6 +544,27 @@ def test_spectrum_poles_cluster_across_the_negative_axis(rng):
         poles = [p for p, _ in spectrum_poles(g)]
         for i, p in enumerate(poles):
             assert all(abs(p - q) > 1e-8 * max(abs(p), abs(q)) for q in poles[:i])
+
+
+def test_spectrum_poles_are_the_roots_of_the_ihara_formula():
+    # a (q+1)-regular graph has Z(u)^-1 = (1 - u^2)^(|E|-|V|) prod_lambda
+    # (1 - lambda u + q u^2) over the adjacency eigenvalues (Ihara).  On the
+    # prism q = 2: lambda = 3 adds a root at 1 (and 1/2), and lambda = -3 of
+    # the bipartite prism one at -1; each |lambda| < 2 sqrt(2) gives two poles
+    # of modulus 1/sqrt(2), one group of more than 150
+    for n in (50, 51):
+        g = prism_graph(n)
+        lam = np.linalg.eigvalsh(zigzag_matrix(g, 1).dense())
+        roots = [1.0, -1.0] * (len(g.edges) - len(g.vertices))
+        roots += [r for x in lam for r in np.roots([2.0, -x, 1.0])]
+        poles = spectrum_poles(g)
+        assert sum(m for _, m in poles) == len(roots) == 2 * len(g.edges)
+        for p, m in poles:
+            assert sum(abs(p - r) <= 1e-6 * abs(p) for r in roots) == m, (n, p, m)
+        inner = sum(abs(abs(r) - 2**-0.5) <= 1e-6 for r in roots)
+        assert sum(m for p, m in poles if abs(abs(p) - 2**-0.5) <= 1e-6) == inner > 150
+        assert [m for p, m in poles if abs(p - 1) <= 1e-6] == [n + 1]
+        assert [m for p, m in poles if abs(p + 1) <= 1e-6] == [n + 1 - n % 2]
 
 
 def test_spectrum_poles_in_place_equal_the_eigvals_fallback(rng, monkeypatch):
