@@ -14,20 +14,13 @@ import os
 import sys
 from pathlib import Path
 
+# only the graph layer loads with the module: each command imports the
+# layers it runs, so that stats and primes start without scipy
 from . import blas
-from .cycles import edge_sequence_label, prime_cycles
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
-from .families import convergence_study, make_source, study_csv_lines, truncation_depth
-from .graph import (
-    WeightedGraph,
-    _load_document,
-    graph_stats,
-    parse_graph,
-    serialize_graph,
-)
-from .routes import ROUTES, cross_validate, poles_csv_lines, route_series, spectrum_poles
+from .graph import WeightedGraph, _load_document, graph_stats, parse_graph, serialize_graph
+from .route_table import ROUTES
 from .series import _fmt, csv_lines
-from .twist import lfunction, load_local_system
 
 MAX_ORDER = 64
 
@@ -102,7 +95,7 @@ def _build_parser() -> _Parser:
 
 def _read_graph(path: str) -> tuple[WeightedGraph, dict]:
     """The graph of the file and the document parse_graph loaded it from."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_graph(text), _load_document(text)
 
 
@@ -116,6 +109,8 @@ def _emit(lines: list[str]) -> None:
 
 
 def _cmd_coeffs(args) -> int:
+    from .routes import route_series
+
     g, _ = _read_graph(args.file)
     _check_order(args.order)
     _emit(csv_lines(route_series(args.route, g, args.order, variant=args.variant)))
@@ -123,6 +118,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .routes import cross_validate
+
     g, _ = _read_graph(args.file)
     _check_order(args.order)
     report = cross_validate(g, args.order, include_experimental=args.experimental,
@@ -138,6 +135,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_primes(args) -> int:
+    from .cycles import edge_sequence_label, prime_cycles
+
     g, _ = _read_graph(args.file)
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
@@ -153,12 +152,16 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_poles(args) -> int:
+    from .routes import poles_csv_lines, spectrum_poles
+
     g, _ = _read_graph(args.file)
     _emit(poles_csv_lines(spectrum_poles(g)))
     return 0
 
 
 def _cmd_lfun(args) -> int:
+    from .twist import lfunction, load_local_system
+
     g, doc = _read_graph(args.file)
     _check_order(args.order)
     system = load_local_system(doc, g)
@@ -170,6 +173,8 @@ def _cmd_lfun(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .families import convergence_study, make_source, study_csv_lines, truncation_depth
+
     source = make_source(args.name, args.r)
     _check_order(args.order)
     if args.study is None and args.out is None:

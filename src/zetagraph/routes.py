@@ -12,14 +12,13 @@ series by series.exact_det instead, within its budget.
 Their matrices, and those of spectrum_poles, are built on the graph's
 leafless core (WeightedGraph.core), which has the same zeta and
 L-functions; applicability is judged on the graph itself, once, by why_not
-from the route's entry in ROUTES.
+from the route's entry in ROUTES (both in route_table, re-exported here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +28,7 @@ from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
 from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
+from .route_table import ROUTES, Applicability, why_not  # re-exported
 from .series import Series, coeffs_agree, exact_det, fredholm_det, max_deviation
 
 
@@ -72,28 +72,6 @@ class DiscrepancyReport:
             verdict = "agree" if p.agree else "disagree"
             lines.append(f"{p.route_a},{p.route_b},{p.max_dev!r},{verdict}")
         return lines
-
-
-class Applicability(NamedTuple):
-    """Whether a determinant route takes backtrack flags, weights off 1 by
-    more than 1e-12 and a local system; its variants, the default first."""
-
-    flags: bool
-    weights: bool
-    system: bool
-    variants: tuple[str, ...] = ()
-
-
-def why_not(name: str, g: WeightedGraph, system=None) -> str | None:
-    """Why route name of ROUTES does not apply to g under system, or None."""
-    rule = ROUTES[name]
-    if system is not None and not rule.system:
-        return f"route {name} takes no local system"
-    if g.backtrack and not rule.flags:
-        return f"route {name} requires an empty backtrack set"
-    if not (rule.weights or all(abs(w - 1.0) <= 1e-12 for w in g.weight.values())):
-        return f"{name} route requires unit weights"
-    return None
 
 
 def _require(name: str, g: WeightedGraph, system=None) -> None:
@@ -309,14 +287,6 @@ def zeta_classical(g: WeightedGraph, M: int) -> RouteResult:
     extra[2::2] = -2.0 * chi
     return RouteResult("classical", _pencil_det(nv, band, M, extra), {"euler_number": chi})
 
-
-ROUTES = {
-    "fredholm": Applicability(True, True, True),
-    "sunada": Applicability(False, True, True),
-    "bass": Applicability(False, True, False, ("corrected", "as-printed")),
-    "partial": Applicability(True, True, False, ("W", "w-squared")),
-    "classical": Applicability(False, False, False),
-}
 
 # the builders of the routes in ROUTES, by the same names
 ROUTE_BUILDERS = {

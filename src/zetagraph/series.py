@@ -25,7 +25,6 @@ two, for exact_det and the untwisted Euler product.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import RefusalError
 
@@ -140,7 +139,9 @@ def _newton(p: np.ndarray, rounding=0.0) -> Series:
     earlier errors carried forward, and rounding_j, the error estimate of
     p_j (a scalar or an array like p),
     e_k = (1/k) sum_j [|p_j| (eps |c_{k-j}| + e_{k-j}) + rounding_j |c_{k-j}|].
-    Where e_k exceeds CONTRACT (1 + max(1, |c_k|)) it raises RefusalError.
+    Where e_k exceeds CONTRACT (1 + max(1, |c_k|)) it raises RefusalError,
+    whose message states that rule rather than its value at the uncertified
+    c_k: two refusals at the same u^k differ only in their estimates.
     """
     order = len(p) - 1
     c = np.zeros(order + 1, dtype=np.complex128)
@@ -157,7 +158,8 @@ def _newton(p: np.ndarray, rounding=0.0) -> Series:
     if not np.all(err <= tol):
         k = int(np.argmin(err <= tol))
         raise RefusalError(f"Newton's recursion cannot certify u^{k}: error estimate "
-                           f"{err[k]:.3g} exceeds the contract {tol[k]:.3g}")
+                           f"{err[k]:.3g} exceeds the contract "
+                           f"{CONTRACT:g} * (1 + max(1, |c_{k}|))")
     return Series(c)
 
 
@@ -215,6 +217,8 @@ def exact_det(head, order: int, extra=None) -> Series | None:
     runs in Fractions on the power sums plus extra.
     """
     from fractions import Fraction
+
+    import scipy.sparse as sp
 
     D = sp.hstack([sp.csr_matrix(c) for c in head], format="csr")
     d, deg = D.shape[0], len(head)

@@ -275,6 +275,24 @@ def test_exit_3_io_and_parse(tmp_path, capsys):
     assert code == 3 and out == [] and err.startswith("parse error:")
 
 
+def test_graph_files_are_read_as_utf8_in_any_locale(tmp_path):
+    """JSON is UTF-8 (RFC 8259): a vertex named with a non-ASCII letter
+    reads the same under the C locale, with neither UTF-8 mode nor locale
+    coercion, as under UTF-8 mode."""
+    g = make_graph(["é", "b", "c"], [("é", "b", 0.5, 0.5), ("b", "c", 0.5, 0.5),
+                                      ("c", "é", 0.5, 0.5)])
+    path = tmp_path / "accent.json"
+    path.write_bytes(json.dumps(json.loads(serialize_graph(g)), ensure_ascii=False).encode())
+    assert "é".encode() in path.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(zetagraph.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-m", "zetagraph", "coeffs", str(path), "--order", "6"],
+                           env={**env, **locale}, capture_output=True, timeout=60)
+            for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                           {"PYTHONUTF8": "1"})]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and b"3,-0.25,0.0" in runs[0].stdout
+
+
 def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):
     neg = tmp_path / "neg.json"
     neg.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,24 @@ def test_high_order_determinant_refuses_instead_of_returning_noise():
     # the unit-weight k4 series is exact at the same order
     unit = CAT["k4"]
     assert max_deviation(zeta_sunada(unit, 24).series, zeta_fredholm(unit, 24).series) <= 1e-12
+
+
+def test_refusals_state_the_contract_rule_not_its_value():
+    # sunada and bass on K5(2.5) both refuse at u^19, with their own error
+    # estimates; the contract they fail is one rule, printed as such rather
+    # than evaluated at the coefficient neither could certify
+    k5 = complete_graph(5, 2.5)
+    messages = []
+    for route in (zeta_sunada, zeta_bass):
+        with pytest.raises(RefusalError) as refusal:
+            route(k5, 20)
+        messages.append(str(refusal.value))
+    estimate = r"error estimate \S+ exceeds"
+    assert re.sub(estimate, "", messages[0]) == re.sub(estimate, "", messages[1])
+    assert messages[0] != messages[1]
+    assert all(m.startswith("Newton's recursion cannot certify u^19: error estimate ")
+               and m.endswith(" exceeds the contract 1e-09 * (1 + max(1, |c_19|))")
+               for m in messages)
 
 
 def route_calls(g):
