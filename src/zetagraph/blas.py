@@ -3,7 +3,11 @@ and LAPACK's dgeev on a buffer of the caller's.
 
 numpy's wheels ship scipy-openblas in numpy.libs, every symbol prefixed
 scipy_ and, in the ILP64 build (libscipy_openblas64_), suffixed 64_ with
-64-bit LAPACK integers.  Where numpy was built against another BLAS the
+64-bit LAPACK integers.  The directory is found from numpy's import spec,
+without importing numpy, so that a command that builds no array sets the
+thread count on the standard library alone; the loader keeps the library
+opened here, and numpy links this same copy when it is imported later.
+Where numpy was built against another BLAS, or is not installed, the
 lookup finds nothing: the thread count is left alone, and eigenvalues come
 from np.linalg.eigvals, which calls the same dgeev on a copy of its input.
 """
@@ -12,10 +16,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR of lapacke.h
 
@@ -36,7 +42,10 @@ class _Library(NamedTuple):
 @functools.cache
 def _openblas() -> _Library | None:
     """The OpenBLAS in numpy.libs, or None where numpy bundles none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None:
+        return None
+    libs = Path(spec.origin).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         if "openblas64" in path.name:
             return _Library(ctypes.CDLL(str(path)), "64_", ctypes.c_int64)
@@ -70,6 +79,8 @@ def eigvals(a: np.ndarray) -> np.ndarray:
     of a (the real parts where every imaginary part is 0, complex values
     otherwise).  Raises ArithmeticError where dgeev reports a failure, such
     as a NaN in a or a QR iteration that does not converge."""
+    import numpy as np
+
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
             and a.flags.f_contiguous and a.flags.writeable):
         raise ValueError("eigvals takes a writeable square column-major float64 array")
@@ -89,6 +100,6 @@ def eigvals(a: np.ndarray) -> np.ndarray:
     # the parts are assigned, as numpy does, so that each keeps its bits,
     # a sign of zero included (it tells the angle pi from -pi), which
     # arithmetic such as wr + 1j * wi does not promise
-    w =np.empty(n, dtype=np.complex128)
+    w = np.empty(n, dtype=np.complex128)
     w.real, w.imag = wr, wi
     return w

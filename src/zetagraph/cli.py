@@ -8,19 +8,22 @@ disagreement, 3 I/O or parse failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import os
 import sys
 from pathlib import Path
 
-# only the graph layer loads with the module: each command imports the
-# layers it runs, so that stats and primes start without scipy
+# only the graph layer loads with the module, and it needs no numpy: each
+# command imports the layers it runs, so that stats and primes start on the
+# standard library alone, and numpy loads where an array is built
 from . import blas
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
-from .graph import WeightedGraph, _load_document, graph_stats, parse_graph, serialize_graph
+from .graph import (WeightedGraph, _fmt, _load_document, graph_stats, parse_graph,
+                    serialize_graph)
 from .route_table import ROUTES
-from .series import _fmt, csv_lines
 
 MAX_ORDER = 64
 
@@ -95,7 +98,10 @@ def _build_parser() -> _Parser:
 
 def _read_graph(path: str) -> tuple[WeightedGraph, dict]:
     """The graph of the file and the document parse_graph loaded it from."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from None
     return parse_graph(text), _load_document(text)
 
 
@@ -104,12 +110,22 @@ def _check_order(M: int) -> None:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {M}")
 
 
+def _utf8_stdout() -> None:
+    """Write stdout as UTF-8 whatever the locale, as graph files are read, so
+    that a vertex name prints everywhere; a stream with no encoding of its
+    own, such as StringIO, is left as it is."""
+    out = sys.stdout
+    if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
+        out.reconfigure(encoding="utf-8")
+
+
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_coeffs(args) -> int:
     from .routes import route_series
+    from .series import csv_lines
 
     g, _ = _read_graph(args.file)
     _check_order(args.order)
@@ -160,6 +176,7 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
+    from .series import csv_lines
     from .twist import lfunction, load_local_system
 
     g, doc = _read_graph(args.file)
@@ -240,6 +257,7 @@ def _thread_cap() -> int | None:
 
 
 def main(argv=None) -> int:
+    _utf8_stdout()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -42,13 +42,15 @@ is refused before it runs out of memory or time.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ResourceCapError
 from .graph import OrientedEdge, WeightedGraph, canonical_order, reverse
-from .series import Series, dyadic, fredholm_det
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .series import Series
 
 LENGTH_CAP = 20
 
@@ -274,6 +276,8 @@ def prime_cycles(g: WeightedGraph, L: int, system=None) -> list[CycleRecord]:
 
 def holonomy(system, edges: tuple) -> np.ndarray:
     """Ordered product of edge transports, last edge leftmost."""
+    import numpy as np
+
     H = np.eye(system.dim, dtype=np.complex128)
     for e in edges:
         H = system.transport(e) @ H
@@ -298,6 +302,8 @@ def euler_product(g: WeightedGraph, M: int, system=None) -> Series:
     order to one complex array, c_n += a_k w(p)^k c_{n-kl} from the values
     before the factor, term by term in k.
     """
+    from .series import Series, dyadic, fredholm_det
+
     edges = canonical_order(g)[1]
     if system is None:
         E, W = dyadic(g.weight[e] for e in edges)

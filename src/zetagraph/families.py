@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceCapError
-from .graph import WeightedGraph, make_graph
+from .graph import WeightedGraph, _fmt, make_graph
 from .routes import zeta_fredholm
-from .series import _fmt
 
 BLOCK_CAP = 64
 

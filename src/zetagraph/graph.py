@@ -12,7 +12,9 @@ All operator modules index their matrices by the canonical order returned
 from :func:`canonical_order`: vertices sorted lexicographically, oriented
 edges sorted lexicographically by (origin, target).  A graph sorts its bases
 once, and builds the NumPy arrays over them (:attr:`WeightedGraph.edge_arrays`)
-once, the way it builds its leafless core once.
+once, the way it builds its leafless core once.  NumPy is imported there
+alone, so that reading a graph, its statistics and its cycles needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import GraphFormatError, GraphValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OrientedEdge = tuple[str, str]
 
@@ -87,6 +90,8 @@ class WeightedGraph:
     def edge_arrays(self) -> EdgeArrays:
         """The arrays over the canonical oriented edges that the operators
         are assembled from, built once and read-only."""
+        import numpy as np
+
         verts, edges = self._canonical
         vi = {x: i for i, x in enumerate(verts)}
         origin = np.array([vi[x] for x, _ in edges], dtype=np.int64)
@@ -385,3 +390,11 @@ def serialize_graph(g: WeightedGraph, local_system_block: dict | None = None) ->
     if local_system_block is not None:
         doc["local_system"] = local_system_block
     return json.dumps(doc, indent=2)
+
+
+def _fmt(v: float) -> str:
+    """A float as every CSV writer prints it: its repr, with -0.0 as 0.0."""
+    v = float(v)
+    if v == 0.0:
+        v = 0.0  # normalize -0.0
+    return repr(v)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .blas import eigvals
 from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
-from .graph import WeightedGraph, canonical_order
+from .graph import WeightedGraph, _fmt, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
 from .route_table import ROUTES, Applicability, why_not  # re-exported
 from .series import Series, coeffs_agree, exact_det, fredholm_det, max_deviation
@@ -397,8 +397,6 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
 
 
 def poles_csv_lines(poles: list[tuple[complex, int]]) -> list[str]:
-    from .series import _fmt
-
     lines = ["re,im,multiplicity"]
     for p, mult in poles:
         lines.append(f"{_fmt(p.real)},{_fmt(p.imag)},{mult}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RefusalError
+from .graph import _fmt
 
 
 class Series:
@@ -97,13 +98,6 @@ def coeffs_agree(a: Series, b: Series, tol: float = 1e-9) -> bool:
     x, y = _paired(a, b)
     ref = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     return bool(np.all(np.abs(x - y) <= tol + tol * ref))
-
-
-def _fmt(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return repr(v)
 
 
 def csv_lines(s: Series) -> list[str]:

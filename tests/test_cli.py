@@ -273,6 +273,12 @@ def test_exit_3_io_and_parse(tmp_path, capsys):
     system.write_text(json.dumps(twisted))
     code, out, err = run(capsys, ["lfun", str(system), "--order", "4"])
     assert code == 3 and out == [] and err.startswith("parse error:")
+    # a file that is not UTF-8 fails to parse; it is not a validation failure
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps({"vertices": ["é"], "edges": []}, ensure_ascii=False)
+                       .encode("latin-1"))
+    code, out, err = run(capsys, ["stats", str(latin1)])
+    assert code == 3 and out == [] and err.startswith("parse error: not UTF-8 text:")
 
 
 def test_graph_files_are_read_as_utf8_in_any_locale(tmp_path):
@@ -291,6 +297,24 @@ def test_graph_files_are_read_as_utf8_in_any_locale(tmp_path):
                            {"PYTHONUTF8": "1"})]
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout and b"3,-0.25,0.0" in runs[0].stdout
+
+
+@pytest.mark.parametrize("argv", (["stats"], ["primes", "--max-len", "3"]))
+def test_stdout_is_written_as_utf8_in_any_locale(tmp_path, argv):
+    """stats and primes print vertex names: a non-ASCII one is written as
+    UTF-8 under the C locale, with neither UTF-8 mode nor locale coercion,
+    byte for byte as under UTF-8 mode."""
+    g = make_graph(["é", "b", "c"], [("é", "b", 0.5, 0.5), ("b", "c", 0.5, 0.5),
+                                      ("c", "é", 0.5, 0.5)])
+    path = tmp_path / "accent.json"
+    path.write_text(serialize_graph(g) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zetagraph.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-m", "zetagraph", argv[0], str(path), *argv[1:]],
+                           env={**env, **locale}, capture_output=True, timeout=60)
+            for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                           {"PYTHONUTF8": "1"})]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and "é".encode() in runs[0].stdout
 
 
 def test_exit_1_validation_and_limits(tmp_path, gfile, capsys):
