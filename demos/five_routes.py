@@ -50,8 +50,8 @@ for n in range(ORDER + 1):
 
 print("\npairwise max deviations (cross_validate):")
 report = cross_validate(g, ORDER)
-for line in report.csv_lines():
-    print("  " + line)
+for p in report.pairs:
+    print(f"  {p.route_a:>9} vs {p.route_b:<9} {p.max_dev:.3e}  {'agree' if p.agree else 'disagree'}")
 print(f"\nall routes agree: {report.all_agree}")
 
 worst = max(

@@ -21,8 +21,7 @@ from pathlib import Path
 # standard library alone, and numpy loads where an array is built
 from . import blas
 from .errors import GraphFormatError, GraphValidationError, ResourceCapError
-from .graph import (WeightedGraph, _fmt, _load_document, graph_stats, parse_graph,
-                    serialize_graph)
+from .graph import WeightedGraph, _load_document, graph_stats, parse_graph, serialize_graph
 from .route_table import ROUTES
 
 MAX_ORDER = 64
@@ -60,6 +59,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("check", help="cross-validate all applicable routes")
     sp.add_argument("file")
     add_order(sp)
+    # series.CONTRACT, which this module does not import at load
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--experimental", action="store_true",
                     help="include the partial-product route for asymmetric flag sets")
@@ -123,13 +123,34 @@ def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _fmt(v: float) -> str:
+    """A float as every CSV writer prints it: its repr, with -0.0 as 0.0."""
+    v = float(v)
+    if v == 0.0:
+        v = 0.0  # normalize -0.0
+    return repr(v)
+
+
+def _name_quoting(g: WeightedGraph):
+    """RFC 4180 quoting for the CSV fields built from g's vertex names: a
+    function that wraps a field in double quotes and doubles the inner ones
+    where some name holds a comma, a double quote, CR or LF, else None.  It
+    is decided once per graph, so that no row is scanned."""
+    if any(c in x for x in g.vertices for c in ',"\r\n'):
+        return lambda text: '"' + text.replace('"', '""') + '"'
+    return None
+
+
+def _series_lines(s) -> list[str]:
+    return ["n,re,im", *(f"{n},{_fmt(z.real)},{_fmt(z.imag)}" for n, z in enumerate(s.c))]
+
+
 def _cmd_coeffs(args) -> int:
     from .routes import route_series
-    from .series import csv_lines
 
     g, _ = _read_graph(args.file)
     _check_order(args.order)
-    _emit(csv_lines(route_series(args.route, g, args.order, variant=args.variant)))
+    _emit(_series_lines(route_series(args.route, g, args.order, variant=args.variant)))
     return 0
 
 
@@ -146,7 +167,10 @@ def _cmd_check(args) -> int:
         print(f"note: {route} refused: {message}", file=sys.stderr)
     if not report.pairs:
         raise ArithmeticError("fewer than two series left to compare")
-    _emit(report.csv_lines())
+    lines = ["routeA,routeB,max_dev,verdict"]
+    lines += [f"{p.route_a},{p.route_b},{p.max_dev!r},{'agree' if p.agree else 'disagree'}"
+              for p in report.pairs]
+    _emit(lines)
     return 0 if report.all_agree else 2
 
 
@@ -157,26 +181,30 @@ def _cmd_primes(args) -> int:
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
     # one label table: each oriented edge's edge_sequence_label, formatted
-    # once, and the is_prime column
+    # once, and the is_prime column; no row is scanned for quoting
     labels = {e: edge_sequence_label((e,)) for e in g.oriented_edges()}
     flags = ("false", "true")
+    join = "|".join
+    if quote := _name_quoting(g):
+        join = lambda sequence: quote("|".join(sequence))
     lines = ["length,weight,primitive_length,is_prime,edge_sequence"]
-    lines += [f"{n},{_fmt(w)},{p},{flags[prime]},{'|'.join(map(labels.__getitem__, edges))}"
+    lines += [f"{n},{_fmt(w)},{p},{flags[prime]},{join(map(labels.__getitem__, edges))}"
               for edges, n, w, p, prime, _ in prime_cycles(g, args.max_len)]
     _emit(lines)
     return 0
 
 
 def _cmd_poles(args) -> int:
-    from .routes import poles_csv_lines, spectrum_poles
+    from .routes import spectrum_poles
 
     g, _ = _read_graph(args.file)
-    _emit(poles_csv_lines(spectrum_poles(g)))
+    lines = ["re,im,multiplicity"]
+    lines += [f"{_fmt(p.real)},{_fmt(p.imag)},{mult}" for p, mult in spectrum_poles(g)]
+    _emit(lines)
     return 0
 
 
 def _cmd_lfun(args) -> int:
-    from .series import csv_lines
     from .twist import lfunction, load_local_system
 
     g, doc = _read_graph(args.file)
@@ -184,13 +212,12 @@ def _cmd_lfun(args) -> int:
     system = load_local_system(doc, g)
     if system is None:
         raise ValueError("graph file has no local_system block")
-    series = lfunction(g, system, args.order, route=args.route)
-    _emit(csv_lines(series))
+    _emit(_series_lines(lfunction(g, system, args.order, route=args.route)))
     return 0
 
 
 def _cmd_family(args) -> int:
-    from .families import convergence_study, make_source, study_csv_lines, truncation_depth
+    from .families import convergence_study, make_source, truncation_depth
 
     source = make_source(args.name, args.r)
     _check_order(args.order)
@@ -205,7 +232,7 @@ def _cmd_family(args) -> int:
         print(f"wrote {args.out}: {len(graph.vertices)} vertices, tail weight {tail!r}, "
               f"blocks 0..{K}", file=sys.stderr)
     if rows is not None:
-        _emit(study_csv_lines(rows))
+        _emit(["k,n,delta", *(f"{k},{n},{_fmt(delta)}" for k, n, delta in rows)])
     return 0
 
 
@@ -224,9 +251,10 @@ def _cmd_stats(args) -> int:
     sym = "true" if (g.backtrack and g.has_symmetric_backtrack()) else (
         "empty" if not g.backtrack else "false")
     lines.append(f"backtrack_symmetric,{sym}")
+    quote = _name_quoting(g) or str
     for pair in sorted(st.W_per_edge, key=lambda s: sorted(s)):
         u, v = sorted(pair)
-        lines.append(f"roundtrip_weight[{u}-{v}],{_fmt(st.W_per_edge[pair])}")
+        lines.append(f"{quote(f'roundtrip_weight[{u}-{v}]')},{_fmt(st.W_per_edge[pair])}")
     _emit(lines)
     return 0
 

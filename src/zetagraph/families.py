@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceCapError
-from .graph import WeightedGraph, _fmt, make_graph
+from .graph import WeightedGraph, make_graph
 from .routes import zeta_fredholm
 
 BLOCK_CAP = 64
@@ -133,10 +133,3 @@ def convergence_study(
     c = [zeta_fredholm(source.block(k), M).series.c for k in range(K_max + 1)]
     return [(k, n, delta) for k in range(K_max)
             for n, delta in enumerate(np.abs(c[k + 1] - c[k]).tolist())]
-
-
-def study_csv_lines(rows: list[tuple[int, int, float]]) -> list[str]:
-    lines = ["k,n,delta"]
-    for k, n, delta in rows:
-        lines.append(f"{k},{n},{_fmt(delta)}")
-    return lines

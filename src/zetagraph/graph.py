@@ -298,11 +298,10 @@ def _girth(g: WeightedGraph) -> int:
     return best
 
 
-def canonical_order(g: WeightedGraph) -> tuple[list[str], list[OrientedEdge]]:
+def canonical_order(g: WeightedGraph) -> tuple[tuple[str, ...], tuple[OrientedEdge, ...]]:
     """Deterministic bases: sorted vertices, sorted oriented edges.  The sort
-    runs once per graph; each call returns fresh lists."""
-    verts, edges = g._canonical
-    return list(verts), list(edges)
+    runs once per graph, and every call returns the same two tuples."""
+    return g._canonical
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +389,3 @@ def serialize_graph(g: WeightedGraph, local_system_block: dict | None = None) ->
     if local_system_block is not None:
         doc["local_system"] = local_system_block
     return json.dumps(doc, indent=2)
-
-
-def _fmt(v: float) -> str:
-    """A float as every CSV writer prints it: its repr, with -0.0 as 0.0."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return repr(v)

@@ -26,10 +26,10 @@ import scipy.sparse as sp
 from .blas import eigvals
 from .cycles import euler_product
 from .errors import RefusalError, ResourceCapError
-from .graph import WeightedGraph, _fmt, canonical_order
+from .graph import WeightedGraph, canonical_order
 from .operators import incidence_maps, transfer_matrix, vertex_series, zigzag_matrix
 from .route_table import ROUTES, Applicability, why_not  # re-exported
-from .series import Series, coeffs_agree, exact_det, fredholm_det, max_deviation
+from .series import CONTRACT, Series, coeffs_agree, exact_det, fredholm_det, max_deviation
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ class DiscrepancyReport:
     @property
     def all_agree(self) -> bool:
         return all(p.agree for p in self.pairs)
-
-    def csv_lines(self) -> list[str]:
-        lines = ["routeA,routeB,max_dev,verdict"]
-        for p in self.pairs:
-            verdict = "agree" if p.agree else "disagree"
-            lines.append(f"{p.route_a},{p.route_b},{p.max_dev!r},{verdict}")
-        return lines
 
 
 def _require(name: str, g: WeightedGraph, system=None) -> None:
@@ -318,7 +311,7 @@ def route_series(name: str, g: WeightedGraph, M: int, system=None, variant=None)
 
 
 def cross_validate(
-    g: WeightedGraph, M: int, include_experimental: bool = False, tol: float = 1e-9
+    g: WeightedGraph, M: int, include_experimental: bool = False, tol: float = CONTRACT
 ) -> DiscrepancyReport:
     """Run the oracle plus every applicable route and compare pairwise.
 
@@ -394,10 +387,3 @@ def spectrum_poles(g: WeightedGraph) -> list[tuple[complex, int]]:
         else:
             group.append([poles[i], 1])
     return [(p, mult) for group in groups.values() for p, mult in group]
-
-
-def poles_csv_lines(poles: list[tuple[complex, int]]) -> list[str]:
-    lines = ["re,im,multiplicity"]
-    for p, mult in poles:
-        lines.append(f"{_fmt(p.real)},{_fmt(p.imag)},{mult}")
-    return lines

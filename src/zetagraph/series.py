@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RefusalError
-from .graph import _fmt
 
 
 class Series:
@@ -93,18 +92,15 @@ def max_deviation(a: Series, b: Series) -> float:
     return float(np.max(np.abs(x - y)))
 
 
-def coeffs_agree(a: Series, b: Series, tol: float = 1e-9) -> bool:
+# the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
+CONTRACT = 1e-9
+
+
+def coeffs_agree(a: Series, b: Series, tol: float = CONTRACT) -> bool:
     """Per-coefficient comparison at |delta| <= tol + tol*max(1, |ref|)."""
     x, y = _paired(a, b)
     ref = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     return bool(np.all(np.abs(x - y) <= tol + tol * ref))
-
-
-def csv_lines(s: Series) -> list[str]:
-    lines = ["n,re,im"]
-    for n, z in enumerate(s.c):
-        lines.append(f"{n},{_fmt(z.real)},{_fmt(z.imag)}")
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +109,6 @@ def csv_lines(s: Series) -> list[str]:
 
 # identity columns per block of the power traces in fredholm_det
 TRACE_BLOCK = 64
-
-# the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
-CONTRACT = 1e-9
 
 # the most work exact_det takes on, in multiply-adds: the head's stored entries
 # x dimension x power sums, sum_k nnz(C_k) x d x m

@@ -1,3 +1,6 @@
+import csv
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -7,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import zetagraph
-from zetagraph import blas, cycles, fixtures, routes
+from zetagraph import blas, cli, cycles, fixtures, routes
 from zetagraph.cli import main
 from zetagraph.errors import RefusalError
-from zetagraph.graph import make_graph, parse_graph, serialize_graph
+from zetagraph.graph import graph_stats, make_graph, parse_graph, serialize_graph
 from zetagraph.routes import RouteResult
-from zetagraph.series import Series
+from zetagraph.series import CONTRACT, Series, coeffs_agree
 from zetagraph.twist import local_system_block, make_local_system, trivial_system
 
 
@@ -58,6 +61,9 @@ def test_coeffs_oracle_frozen(gfile, capsys):
         "5,0.0,0.0",
         "6,0.0005000000000000001,0.0",
     ]
+    # negative zeros print as 0.0, in either part
+    assert cli._series_lines(Series([1.0, complex(-0.0, -0.0), 0.25])) == [
+        "n,re,im", "0,1.0,0.0", "1,0.0,0.0", "2,0.25,0.0"]
 
 
 def test_coeffs_default_route_handles_flags(gfile, capsys):
@@ -107,6 +113,14 @@ def test_check_one_sided_flag_modes(gfile, capsys):
     assert "note: asymmetric-backtrack-set" in err
     assert "note: experimental:partial" in err
     assert "fredholm,partial,4.5,disagree" in out
+
+
+def test_check_tolerance_defaults_to_the_coefficient_contract():
+    """check --tol, cross_validate and coeffs_agree share one default, the
+    contract of the series layer, which the parser cannot import."""
+    assert cli._build_parser().parse_args(["check", "g.json"]).tol == CONTRACT
+    for fn in (coeffs_agree, routes.cross_validate):
+        assert inspect.signature(fn).parameters["tol"].default is CONTRACT
 
 
 def test_check_loose_tolerance_flips_verdict(gfile, capsys):
@@ -200,6 +214,7 @@ def test_family_study_csv(capsys):
                                 "--study", "1", "--order", "3"])
     assert code == 0
     assert out[0] == "k,n,delta"
+    assert out[1] == "0,0,0.0"
     assert out[4] == "0,3,0.25"
 
 
@@ -246,6 +261,34 @@ def test_stats_frozen(gfile, capsys):
         "roundtrip_weight[x-z],0.1",
         "roundtrip_weight[y-z],0.1",
     ]
+
+
+def test_names_that_need_quotes_are_quoted_fields(gfile, capsys):
+    """A vertex name holding a comma or a double quote puts the name fields
+    of primes and stats in RFC 4180 quotes: csv.reader reads every row back
+    with the header's field count and the names as they were.  A graph
+    whose names need none prints no quote."""
+    g = make_graph(['a,b', 'q"r', 'd>e'], [('a,b', 'q"r', 0.5, 0.25), ('q"r', 'd>e', 0.5, 0.5),
+                                           ('d>e', 'a,b', 0.3, 0.5)])
+    path = gfile("quoted", serialize_graph(g) + "\n")
+    for argv, names in ((["primes", path, "--max-len", "6"],
+                         [cycles.edge_sequence_label(rec.edges)
+                          for rec in cycles.prime_cycles(g, 6)]),
+                        (["stats", path],
+                         [f"roundtrip_weight[{u}-{v}]" for u, v in
+                          sorted(sorted(pair) for pair in graph_stats(g).W_per_edge)])):
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        fields = [row[-1] if argv[0] == "primes" else row[0] for row in rows]
+        assert fields[len(fields) - len(names):] == names
+    plain = make_graph(["d>e", "x", "y"], [("d>e", "x", 0.5, 0.5), ("x", "y", 0.5, 0.5),
+                                           ("y", "d>e", 0.5, 0.5)])
+    path = gfile("plain", serialize_graph(plain) + "\n")
+    for argv in (["primes", path, "--max-len", "6"], ["stats", path]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "d>e" in out and '"' not in out
 
 
 def test_stats_flag_symmetry_column(gfile, capsys):

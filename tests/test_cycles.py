@@ -19,10 +19,11 @@ from zetagraph.cycles import (
     tail_mode_report,
 )
 from zetagraph.errors import ResourceCapError
+from zetagraph.cli import _fmt
 from zetagraph.graph import canonical_order, make_graph, reverse, serialize_graph
 from zetagraph.operators import (anchored_path_matrix, reduced_path_matrix_direct,
                                  transfer_matrix)
-from zetagraph.series import Series, _fmt, fredholm_det, max_deviation
+from zetagraph.series import Series, fredholm_det, max_deviation
 from zetagraph.twist import make_local_system
 
 CAT = fixtures.catalogue()

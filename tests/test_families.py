@@ -9,7 +9,6 @@ from zetagraph.families import (
     GraphSource,
     convergence_study,
     make_source,
-    study_csv_lines,
     truncate_source,
 )
 from zetagraph.graph import graph_stats, make_graph, validate
@@ -102,9 +101,7 @@ def test_convergence_study_on_finite_source_is_flat():
     assert all(delta == 0.0 for _, _, delta in rows)
 
 
-def test_study_csv_golden():
-    src = make_source("triangle-chain", 0.5)
-    lines = study_csv_lines(convergence_study(src, 1, 3))
-    assert lines[0] == "k,n,delta"
-    assert lines[1] == "0,0,0.0"
-    assert lines[4] == "0,3,0.25"
+def test_study_rows_golden():
+    rows = convergence_study(make_source("triangle-chain", 0.5), 1, 3)
+    assert rows[0] == (0, 0, 0.0)
+    assert rows[3] == (0, 3, 0.25)

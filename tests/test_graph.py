@@ -73,8 +73,8 @@ def test_canonical_order_ignores_input_permutation():
     g2 = make_graph(["a", "b", "c"], [("a", "b", 3, 4), ("c", "a", 1, 2)])
     assert canonical_order(g1) == canonical_order(g2)
     verts, edges = canonical_order(g1)
-    assert verts == ["a", "b", "c"]
-    assert edges == sorted(edges)
+    assert verts == ("a", "b", "c")
+    assert list(edges) == sorted(edges)
 
 
 def test_stats_weighted_triangle():
@@ -267,16 +267,14 @@ def test_graph_is_frozen():
         g.vertices = ()
 
 
-def test_canonical_order_returns_fresh_lists():
-    """The bases are sorted once per graph, and each call hands out new
-    lists: mutating one leaves the next call's lists alone."""
+def test_canonical_order_returns_the_cached_tuples():
+    """The bases are sorted once per graph, and every call hands out the
+    same two tuples, which no caller can change."""
     g = make_graph(["c", "a", "b"], [("c", "a", 1, 2), ("a", "b", 3, 4)])
     first, second = canonical_order(g), canonical_order(g)
-    assert first == second == (["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")])
-    assert first[0] is not second[0] and first[1] is not second[1]
-    first[0].append("z")
-    first[1].clear()
-    assert canonical_order(g) == second
+    assert first == (("a", "b", "c"), (("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")))
+    assert first[0] is second[0] and first[1] is second[1]
+    assert first is g._canonical
 
 
 def test_edge_arrays_built_once_per_graph_and_read_only(monkeypatch):

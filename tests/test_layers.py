@@ -64,6 +64,11 @@ def test_the_graph_layer_loads_numpy_only_for_its_arrays():
     assert "numpy" in modules and package_modules(modules, "scipy") == set()
 
 
+def test_the_series_layer_loads_no_graph_layer():
+    modules = imported(["-c", "import zetagraph.series"])
+    assert "zetagraph.series" in modules and "zetagraph.graph" not in modules
+
+
 def test_the_thread_cap_is_checked_and_applied_without_numpy(k3_file):
     """stats validates ZETAGRAPH_THREADS and sets the BLAS thread count, which
     finds numpy's OpenBLAS without importing numpy."""

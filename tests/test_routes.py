@@ -19,10 +19,10 @@ from zetagraph.operators import transfer_matrix, zigzag_matrix
 from zetagraph.routes import (
     ROUTE_BUILDERS,
     ROUTES,
+    PairVerdict,
     RouteResult,
     backtrack_weight_constant,
     cross_validate,
-    poles_csv_lines,
     route_series,
     spectrum_poles,
     sunada_point_value,
@@ -212,7 +212,7 @@ def test_cross_validate_unflagged_corpus(rng):
         names = {p.route_a for p in report.pairs} | {p.route_b for p in report.pairs}
         assert names == {"oracle", "fredholm", "sunada", "bass"}
         assert len(report.pairs) == 6
-        assert report.all_agree, report.csv_lines()
+        assert report.all_agree, report.pairs
         assert report.flags == ()
 
 
@@ -223,7 +223,7 @@ def test_cross_validate_symmetric_corpus(rng):
         names = {p.route_a for p in report.pairs} | {p.route_b for p in report.pairs}
         if g.backtrack:
             assert names == {"oracle", "fredholm", "partial"}
-        assert report.all_agree, report.csv_lines()
+        assert report.all_agree, report.pairs
         assert zeta_partial_formula(g, 10).metadata["alpha"] == 0.0
 
 
@@ -242,9 +242,7 @@ def test_cross_validate_one_sided_flags():
     report = cross_validate(CAT["bt2"], 6, include_experimental=True)
     assert report.flags == ("asymmetric-backtrack-set", "experimental:partial")
     assert not report.all_agree
-    rows = report.csv_lines()
-    assert rows[0] == "routeA,routeB,max_dev,verdict"
-    assert "fredholm,partial,4.5,disagree" in rows
+    assert PairVerdict("fredholm", "partial", 4.5, False) in report.pairs
 
 
 def test_point_value_matches_series():
@@ -543,9 +541,7 @@ def test_spectrum_poles_frozen():
     assert len(bt1_poles) == 2
     assert bt1_poles[0][0] == pytest.approx(1 / np.sqrt(6))
     assert bt1_poles[1][0] == pytest.approx(-1 / np.sqrt(6))
-    lines = poles_csv_lines(bt1_poles)
-    assert lines[0] == "re,im,multiplicity"
-    assert lines[1].endswith(",0.0,1")
+    assert [(p.imag, m) for p, m in bt1_poles] == [(0.0, 1), (0.0, 1)]
 
 
 def test_spectrum_poles_cluster_across_the_negative_axis(rng):
@@ -588,22 +584,22 @@ def test_spectrum_poles_are_the_roots_of_the_ihara_formula():
 
 def test_spectrum_poles_in_place_equal_the_eigvals_fallback(rng, monkeypatch):
     """dgeev runs in place on the core's T where numpy's OpenBLAS is found,
-    and np.linalg.eigvals on the same array where it is not: both print the
-    same bytes, the empty core's [] and bt1's real negative pole included."""
+    and np.linalg.eigvals on the same array where it is not: both give the
+    same poles, the empty core's [] and bt1's real negative pole included."""
     big = random_graph(rng, n_vertices=260, extra_edges=200)
     assert 2 * len(big.core.edges) >= 700
     graphs = [*CAT.values(), complete_graph(4, 1.5), complete_graph(7, 1.5), big]
     calls = []
     numpy_eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or numpy_eigvals(a))
-    in_place = [poles_csv_lines(spectrum_poles(g)) for g in graphs]
+    in_place = [spectrum_poles(g) for g in graphs]
     assert calls == [] or blas._dgeev() is None
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     calls.clear()
-    assert [poles_csv_lines(spectrum_poles(g)) for g in graphs] == in_place
+    assert [spectrum_poles(g) for g in graphs] == in_place
     assert len(calls) == len(graphs)
     assert spectrum_poles(CAT["edge"]) == []
-    assert in_place[list(CAT).index("edge")] == ["re,im,multiplicity"]
+    assert in_place[list(CAT).index("edge")] == []
 
 
 def test_spectrum_poles_scale_with_the_weights():
