@@ -491,3 +491,14 @@ def test_coeffs_agree_tolerance_contract():
     assert coeffs_agree(a, b, tol=1e-9)
     b = Series([1.0, 1000.0 + 2e-6])
     assert not coeffs_agree(a, b, tol=1e-9)
+
+
+def test_csv_lines_format():
+    # a Series prints as n,re,im rows through the command line's writer
+    from zetagraph.cli import _series_lines
+
+    lines = _series_lines(Series([1.0, -0.0, 0.25]))
+    assert lines[0] == "n,re,im"
+    assert lines[1] == "0,1.0,0.0"
+    assert lines[2] == "1,0.0,0.0"  # negative zero normalized
+    assert lines[3] == "2,0.25,0.0"
