@@ -4,9 +4,11 @@ and LAPACK's dgeev on a buffer of the caller's.
 numpy's wheels ship scipy-openblas in numpy.libs, every symbol prefixed
 scipy_ and, in the ILP64 build (libscipy_openblas64_), suffixed 64_ with
 64-bit LAPACK integers.  The directory is found from numpy's import spec,
-without importing numpy, so that a command that builds no array sets the
-thread count on the standard library alone; the loader keeps the library
-opened here, and numpy links this same copy when it is imported later.
+without importing numpy, so that the command line sets the thread count
+before a command loads its layers; the loader keeps the library opened
+here, and numpy links this same copy when it is imported later.  Only the
+commands that run BLAS import this module and open the library: stats and
+primes load neither it nor ctypes.
 Where numpy was built against another BLAS, or is not installed, the
 lookup finds nothing: the thread count is left alone, and eigenvalues come
 from np.linalg.eigvals, which calls the same dgeev on a copy of its input.

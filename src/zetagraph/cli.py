@@ -19,8 +19,7 @@ from pathlib import Path
 # only the graph layer loads with the module, and it needs no numpy: each
 # command imports the layers it runs, so that stats and primes start on the
 # standard library alone, and numpy loads where an array is built
-from . import blas
-from .errors import GraphFormatError, GraphValidationError, ResourceCapError
+from .errors import CONTRACT, GraphFormatError, GraphValidationError, ResourceCapError
 from .graph import WeightedGraph, _load_document, graph_stats, parse_graph, serialize_graph
 from .route_table import ROUTES
 
@@ -59,8 +58,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("check", help="cross-validate all applicable routes")
     sp.add_argument("file")
     add_order(sp)
-    # series.CONTRACT, which this module does not import at load
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=CONTRACT)
     sp.add_argument("--experimental", action="store_true",
                     help="include the partial-product route for asymmetric flag sets")
 
@@ -269,11 +267,17 @@ _COMMANDS = {
     "stats": _cmd_stats,
 }
 
+# the commands that build no array and so run no BLAS: they never open
+# OpenBLAS, and ZETAGRAPH_THREADS is validated for them but not applied
+_NO_BLAS = frozenset({"stats", "primes"})
+
 
 def _thread_cap() -> int | None:
     """The BLAS thread count that ZETAGRAPH_THREADS asks for: one when it is
     unset, so that the printed bytes do not depend on the BLAS thread count;
-    n for n >= 1; None for 0, which leaves BLAS as the environment set it."""
+    n for n >= 1; None for 0, which leaves BLAS as the environment set it.
+    main reads it for every command, so a bad value exits 1 everywhere, and
+    applies it through blas only for the commands outside _NO_BLAS."""
     raw = os.environ.get("ZETAGRAPH_THREADS", "1")
     try:
         value = int(raw)
@@ -290,8 +294,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         threads = _thread_cap()
-        if threads is not None and (openblas := blas.threads()):
-            openblas[1](threads)
+        if threads is not None and args.command not in _NO_BLAS:
+            from . import blas
+
+            if openblas := blas.threads():
+                openblas[1](threads)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the coefficient contract.
+
+CONTRACT is the tolerance every certified coefficient is held to: a
+coefficient c_k is accepted when its error is at most
+CONTRACT * (1 + max(1, |c_k|)).  coeffs_agree compares two series at it,
+the determinants' Newton recursion refuses past it, and `check --tol`
+defaults to it.  It lives here, beside RefusalError, so that the command
+line reads it at load without the series layer.
+"""
+
+CONTRACT = 1e-9
 
 
 class GraphFormatError(ValueError):
@@ -21,4 +31,4 @@ class ResourceCapError(RuntimeError):
 
 
 class RefusalError(ArithmeticError):
-    """Raised when a route cannot certify a coefficient to the 1e-9 contract."""
+    """Raised when a route cannot certify a coefficient to CONTRACT."""

@@ -20,7 +20,6 @@ standard library.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
@@ -50,20 +49,47 @@ class EdgeArrays(NamedTuple):
     unflagged: np.ndarray
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Immutable weighted graph with per-orientation weights.
 
     vertices: vertex identifiers in input order (canonical order sorts them).
     edges: unordered pairs, stored as (u, v) in input order.
-    weight: map oriented edge -> positive weight, both orientations present.
+    weight: map oriented edge -> positive weight, both orientations present;
+        a fresh empty dict by default.
     backtrack: set of oriented edges where an immediate reversal is allowed.
+
+    Graphs compare equal field by field and assigning a field raises
+    AttributeError, as a frozen dataclass would; the class is written out
+    so that the graph layer loads without the dataclasses module.  The
+    cached properties write to the instance dict directly.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[OrientedEdge, ...]
-    weight: Mapping[OrientedEdge, float] = field(default_factory=dict)
-    backtrack: frozenset[OrientedEdge] = frozenset()
+    weight: Mapping[OrientedEdge, float]
+    backtrack: frozenset[OrientedEdge]
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[OrientedEdge, ...],
+                 weight: Mapping[OrientedEdge, float] | None = None,
+                 backtrack: frozenset[OrientedEdge] = frozenset()) -> None:
+        self.__dict__.update(vertices=vertices, edges=edges,
+                             weight={} if weight is None else weight, backtrack=backtrack)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vertices, self.edges, self.weight, self.backtrack)
+                == (other.vertices, other.edges, other.weight, other.backtrack))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"weight={self.weight!r}, backtrack={self.backtrack!r})")
 
     def oriented_edges(self) -> list[OrientedEdge]:
         out = []
@@ -167,8 +193,7 @@ def make_graph(
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     entries: tuple[tuple[str, str], ...]
 
     @property
@@ -229,8 +254,7 @@ def validate(g: WeightedGraph) -> ValidationReport:
     return ValidationReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     vertex_count: int
     edge_count: int
     euler_number: int

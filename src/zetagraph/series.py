@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RefusalError
+from .errors import CONTRACT, RefusalError
 
 
 class Series:
@@ -90,10 +90,6 @@ def _paired(a: Series, b: Series) -> tuple[np.ndarray, np.ndarray]:
 def max_deviation(a: Series, b: Series) -> float:
     x, y = _paired(a, b)
     return float(np.max(np.abs(x - y)))
-
-
-# the bound CONTRACT * (1 + max(1, |c_k|)) of coeffs_agree on a coefficient's error
-CONTRACT = 1e-9
 
 
 def coeffs_agree(a: Series, b: Series, tol: float = CONTRACT) -> bool:

@@ -117,7 +117,7 @@ def test_check_one_sided_flag_modes(gfile, capsys):
 
 def test_check_tolerance_defaults_to_the_coefficient_contract():
     """check --tol, cross_validate and coeffs_agree share one default, the
-    contract of the series layer, which the parser cannot import."""
+    contract that errors defines and the parser reads at load."""
     assert cli._build_parser().parse_args(["check", "g.json"]).tol == CONTRACT
     for fn in (coeffs_agree, routes.cross_validate):
         assert inspect.signature(fn).parameters["tol"].default is CONTRACT
@@ -437,23 +437,30 @@ def test_thread_cap_env(gfile, capsys, monkeypatch):
 
 
 def test_thread_cap_sets_the_blas_threads(gfile, capsys, monkeypatch, blas_threads):
+    """A command that builds arrays applies ZETAGRAPH_THREADS; stats, which
+    runs no BLAS, leaves the count alone; every command rejects a bad value."""
     if blas_threads is None:
         pytest.skip("numpy bundles no OpenBLAS here; ZETAGRAPH_THREADS leaves BLAS alone")
     get, put = blas_threads
     path = gfile("k3")
+    coeffs = ["coeffs", path, "--order", "2"]
     for env, before, after in ((None, 2, 1), ("2", 1, 2), ("1", 2, 1), ("0", 2, 2), ("0", 1, 1)):
         if env is None:
             monkeypatch.delenv("ZETAGRAPH_THREADS", raising=False)
         else:
             monkeypatch.setenv("ZETAGRAPH_THREADS", env)
         put(before)
-        assert run(capsys, ["stats", path])[0] == 0
+        assert run(capsys, coeffs)[0] == 0
         assert get() == after, env
+    monkeypatch.delenv("ZETAGRAPH_THREADS", raising=False)
+    put(2)
+    assert run(capsys, ["stats", path])[0] == 0 and get() == 2
     for env in ("abc", "-2"):
         monkeypatch.setenv("ZETAGRAPH_THREADS", env)
-        put(2)
-        code, _, err = run(capsys, ["stats", path])
-        assert code == 1 and "ZETAGRAPH_THREADS" in err and get() == 2
+        for argv in (coeffs, ["stats", path]):
+            put(2)
+            code, _, err = run(capsys, argv)
+            assert code == 1 and "ZETAGRAPH_THREADS" in err and get() == 2
 
 
 def _refuse(g, M, *args):

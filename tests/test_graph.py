@@ -265,6 +265,49 @@ def test_graph_is_frozen():
     assert g == fixtures.triangle()
     with pytest.raises(AttributeError):
         g.vertices = ()
+    for name in ("vertices", "edges", "weight", "backtrack", "core"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == fixtures.triangle()
+
+
+def test_graph_construction_equality_and_repr():
+    """Positional and keyword construction with the defaults (a fresh empty
+    weight dict per graph, no flags), field-wise equality and the repr."""
+    a, b = WeightedGraph(("x",), ()), WeightedGraph(vertices=("x",), edges=())
+    assert a == b and a.weight == {} and a.backtrack == frozenset()
+    assert a.weight is not b.weight
+    g = make_graph("ab", [("a", "b", 1, 2)], [("a", "b")])
+    weight = {("a", "b"): 1.0, ("b", "a"): 2.0}
+    assert g == WeightedGraph(("a", "b"), (("a", "b"),), weight, frozenset({("a", "b")}))
+    assert g == WeightedGraph(backtrack=frozenset({("a", "b")}), weight=dict(weight),
+                              edges=(("a", "b"),), vertices=("a", "b"))
+    assert g != WeightedGraph(("a", "b"), (("a", "b"),), weight)
+    assert g != WeightedGraph(("a", "b"), (("a", "b"),), {**weight, ("b", "a"): 3.0},
+                              g.backtrack)
+    assert g != (g.vertices, g.edges, g.weight, g.backtrack)
+    assert repr(g) == ("WeightedGraph(vertices=('a', 'b'), edges=(('a', 'b'),), "
+                       "weight={('a', 'b'): 1.0, ('b', 'a'): 2.0}, "
+                       "backtrack=frozenset({('a', 'b')}))")
+    with pytest.raises(TypeError):
+        hash(g)
+
+
+def test_cached_properties_are_computed_once(monkeypatch):
+    calls = []
+    names = ("out_edges", "_canonical", "edge_arrays", "core")
+    for name in names:
+        prop = WeightedGraph.__dict__[name]
+        monkeypatch.setattr(prop, "func",
+                            lambda g, build=prop.func, name=name: calls.append(name) or build(g))
+    g = make_graph("abcd", [("a", "b", 0.5, 0.4), ("b", "c", 0.3, 0.6), ("c", "a", 0.7, 0.2),
+                            ("c", "d", 0.5, 0.5)])
+    first = [getattr(g, name) for name in names]
+    assert all(getattr(g, name) is value for name, value in zip(names, first))
+    assert sorted(calls) == sorted(names)
+    assert g.core.vertices == ("a", "b", "c")
 
 
 def test_canonical_order_returns_the_cached_tuples():

@@ -1,6 +1,7 @@
 """The package loads a layer only when it is used: `import zetagraph` loads
 none, and `stats` and `primes` run on the graph layer, which needs the
-standard library alone: neither numpy nor scipy loads for them."""
+standard library alone: neither numpy nor scipy loads for them, nor
+dataclasses, nor the ctypes that opens OpenBLAS."""
 
 import os
 import subprocess
@@ -54,6 +55,14 @@ def test_graph_layer_commands_load_neither_numpy_nor_scipy(k3_file, argv):
     assert "zetagraph.series" not in modules
 
 
+@pytest.mark.parametrize("argv", (["stats"], ["primes", "--max-len", "6"]))
+def test_graph_layer_commands_load_no_dataclasses_or_ctypes(k3_file, argv):
+    modules = imported(["-m", "zetagraph", argv[0], k3_file, *argv[1:]])
+    assert "zetagraph.graph" in modules
+    assert {"dataclasses", "inspect", "ctypes"} & modules == set()
+    assert "zetagraph.blas" not in modules
+
+
 def test_the_graph_layer_loads_numpy_only_for_its_arrays():
     modules = imported(["-c", "import zetagraph.graph"])
     assert "zetagraph.graph" in modules and package_modules(modules, "numpy") == set()
@@ -70,14 +79,16 @@ def test_the_series_layer_loads_no_graph_layer():
 
 
 def test_the_thread_cap_is_checked_and_applied_without_numpy(k3_file):
-    """stats validates ZETAGRAPH_THREADS and sets the BLAS thread count, which
-    finds numpy's OpenBLAS without importing numpy."""
+    """stats validates ZETAGRAPH_THREADS, and exits 1 on a bad value, but runs
+    no BLAS, so it does not apply the count: under a valid value it loads
+    neither numpy nor the ctypes that would open numpy's OpenBLAS."""
     args = [sys.executable, "-m", "zetagraph", "stats", k3_file]
     bad = subprocess.run(args, env={**ENV, "ZETAGRAPH_THREADS": "abc"},
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 1 and "ZETAGRAPH_THREADS" in bad.stderr
     modules = imported(["-m", "zetagraph", "stats", k3_file], ZETAGRAPH_THREADS="2")
     assert package_modules(modules, "numpy") == set()
+    assert "ctypes" not in modules and "zetagraph.blas" not in modules
 
 
 def test_the_openblas_found_without_numpy_is_the_one_numpy_links():
